@@ -289,16 +289,37 @@ def cmd_auslander(args):
 
 def cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    etas = None
-    if args.etas:
-        etas = tuple(EtaPoint.parse(t) for t in args.etas.split(","))
     ok, report = run_suites(names, max_s=args.max_s, max_n=args.max_n,
-                            etas=etas)
+                            etas=args.etas)
     _emit(args, {"command": "verify",
                  "inputs": {"suite": args.suite, "max_s": args.max_s,
                             "max_n": args.max_n},
                  "result": report.splitlines(), "agreement": ok}, report)
     return 0 if ok else 1
+
+
+def _positive_int(text):
+    """A sweep bound: an integer of at least 1, so no sweep is empty."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _eta_list(text):
+    """Comma-separated eta values; the suites sample the first five, so
+    at least five must be distinct."""
+    try:
+        etas = tuple(EtaPoint.parse(t) for t in text.split(","))
+    except InvalidLabel as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if len(set(etas)) < 5:
+        raise argparse.ArgumentTypeError(
+            f"need at least 5 distinct eta values, got {len(set(etas))}")
+    return etas
 
 
 def build_parser():
@@ -348,9 +369,10 @@ def build_parser():
     p = sub.add_parser("verify", help="rerun the verification suites")
     p.add_argument("--suite", choices=list(SUITES) + ["all"],
                    default="all")
-    p.add_argument("--max-s", type=int, default=4)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--etas", help="comma-separated eta values")
+    p.add_argument("--max-s", type=_positive_int, default=4)
+    p.add_argument("--max-n", type=_positive_int, default=4)
+    p.add_argument("--etas", type=_eta_list,
+                   help="comma-separated eta values, at least 5 distinct")
     p.set_defaults(func=cmd_verify)
     return ap
 

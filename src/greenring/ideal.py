@@ -16,7 +16,7 @@ from math import inf
 from .errors import (InvalidLabel, NegativeCoefficient, NotEndomorphism)
 from .indec import EtaPoint, identify
 from .rep import hom_basis
-from .ratlin import ZERO
+from .ratlin import ZERO, trace_product
 
 
 class IdealSpec:
@@ -165,7 +165,7 @@ def quantum_trace(m, t):
         act = m.actions[lbl]
         if t * act != act * t:
             raise NotEndomorphism(f"does not commute with {lbl}")
-    return (_pivot_matrix(m) * t).trace()
+    return trace_product(_pivot_matrix(m), t)
 
 
 def qdim(m):
@@ -176,7 +176,7 @@ def qdim(m):
 def is_negligible(m):
     """True iff the quantum trace vanishes on all of End(M)."""
     piv = _pivot_matrix(m)
-    return all((piv * t).trace() == ZERO for t in hom_basis(m, m))
+    return all(trace_product(piv, t) == ZERO for t in hom_basis(m, m))
 
 
 def is_quasi_dominated(m):

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import InvalidLabel, NotInR0, OutOfRange, Unclassified
+from .errors import (InvalidLabel, NoSolution, NotInR0, OutOfRange,
+                     Unclassified)
 from .hopf import build_dk1, build_km
 from .ratlin import (ONE, Rat, RatMatrix, ZERO, kernel_basis, rat_from_str,
                      rat_to_str, solve_linear)
@@ -472,12 +473,9 @@ def _mtype_candidate(m):
     for lbl in ("x1", "x2"):
         cols = []
         for j in free:
-            e = [ZERO] * m.dim
-            e[j] = ONE
-            w = m.actions[lbl].apply(e)
             try:
-                cols.append(span.coordinates(w))
-            except Exception:
+                cols.append(span.coordinates(m.actions[lbl].column(j)))
+            except NoSolution:
                 return None
         pencil.append(RatMatrix.from_columns(cols, rows=n))
     a1, a2 = pencil
@@ -485,10 +483,7 @@ def _mtype_candidate(m):
         return IndecLabel.mtype(n, r, EtaPoint.infinity())
     # eta = trace(a1^{-1} a2)/n, an invariant of the pencil
     tr = ZERO
-    for j in range(n):
-        col = [ZERO] * n
-        for i, v in a2.col_dicts()[j].items():
-            col[i] = v
+    for j, col in enumerate(a2.dense_columns()):
         x, _ = solve_linear(a1, col)
         tr += x[j]
     return IndecLabel.mtype(n, r, EtaPoint(tr / n))

@@ -286,6 +286,20 @@ def kronecker_product(a, b):
     return RatMatrix(a.rows * rb, a.cols * cb, data)
 
 
+def trace_product(a, b):
+    """tr(A B) = sum of A[i,j] B[j,i], without forming the product."""
+    assert a.cols == b.rows and a.rows == b.cols, "shape mismatch"
+    if len(a.data) > len(b.data):
+        a, b = b, a  # tr(A B) = tr(B A): scan the sparser factor
+    bd = b.data
+    total = ZERO
+    for (i, j), v in a.data.items():
+        w = bd.get((j, i))
+        if w is not None:
+            total += v * w
+    return total
+
+
 # -- elimination core ------------------------------------------------
 #
 # Elimination is fraction-free in the sense of Bareiss (Math. Comp. 22,
@@ -296,6 +310,13 @@ def kronecker_product(a, b):
 # given order and each pivots on its leftmost surviving column, which
 # realizes the "first nonzero entry by row-major scan" rule.  A reduced
 # echelon form is unique, so the output equals that of elimination over Q.
+#
+# The back pass is output-sensitive: it costs one elimination per pivot
+# column a row actually holds, not a test of every earlier row for every
+# pivot.  It runs from the last pivot to the first, so each row is cleared
+# with rows that are already fully reduced.  Such a row is zero at every
+# other pivot column, so clearing one never brings a new pivot column in,
+# and the row's pivot columns can be read once, before any clearing.
 
 
 def _scaled(entries):
@@ -383,39 +404,49 @@ def _echelon(rows, reduced=True):
     cols = sorted(pivots)
     if not reduced:
         return cols, None
-    # Back-substitute for the reduced form.
-    for ci in reversed(range(len(cols))):
-        c = cols[ci]
-        prow = pivots[c]
-        for c2 in cols[:ci]:
-            if c in pivots[c2]:
-                pivots[c2] = _primitive(_eliminate(pivots[c2], prow, c)[0])
+    # Back-substitute for the reduced form, last pivot first (see above).
+    for c in reversed(cols):
+        r = pivots[c]
+        held = [c2 for c2 in r if c2 != c and c2 in pivots]
+        if held:
+            for c2 in held:
+                r = _eliminate(r, pivots[c2], c2)[0]
+            pivots[c] = _primitive(r)
     return cols, [_rats(pivots[c], pivots[c][c]) for c in cols]
+
+
+def _rref_kernel(pivot_cols, pivot_rows, ncols):
+    """Kernel basis of the columns < ncols of a reduced echelon form whose
+    pivots all lie below ncols: one sparse dict per free column, in
+    ascending order, each with entry 1 at its free column."""
+    pivot_set = set(pivot_cols)
+    kernel = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
+    for c, row in zip(pivot_cols, pivot_rows):
+        for f, w in row.items():
+            vec = kernel.get(f)  # None at pivots and at columns >= ncols
+            if vec is not None:
+                vec[c] = -w
+    return list(kernel.values())
 
 
 def kernel_dicts(rows, ncols):
     """Kernel basis of the linear system given by sparse rows, as sparse
     dicts: one per free column in ascending order, each with entry 1 at
     its free column -- the reduced echelon normal form of the kernel."""
-    pivot_cols, pivot_rows = _echelon(rows)
-    pivot_set = set(pivot_cols)
-    kernel = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
-    for c, row in zip(pivot_cols, pivot_rows):
-        for f, w in row.items():
-            if f != c:
-                kernel[f][c] = -w
-    return list(kernel.values())
+    return _rref_kernel(*_echelon(rows), ncols)
+
+
+def _dense(vec, n):
+    """Dense vector of length n from a sparse dict."""
+    v = [ZERO] * n
+    for c, w in vec.items():
+        v[c] = w
+    return v
 
 
 def sparse_kernel(rows, ncols):
     """kernel_dicts as dense vectors of length ncols."""
-    basis = []
-    for vec in kernel_dicts(rows, ncols):
-        v = [ZERO] * ncols
-        for c, w in vec.items():
-            v[c] = w
-        basis.append(v)
-    return basis
+    return [_dense(vec, ncols) for vec in kernel_dicts(rows, ncols)]
 
 
 def kernel_basis(a):
@@ -440,8 +471,10 @@ def solve_linear(a, b):
     x = [ZERO] * a.cols
     for c, row in zip(pivot_cols, pivot_rows):
         x[c] = row.get(aug, ZERO)
-    kernel = sparse_kernel(a.row_dicts(), a.cols)
-    return x, kernel
+    # aug is no pivot, so the rows without their aug entries are the
+    # reduced echelon form of A itself
+    kernel = _rref_kernel(pivot_cols, pivot_rows, a.cols)
+    return x, [_dense(vec, a.cols) for vec in kernel]
 
 
 class SpanRREF:

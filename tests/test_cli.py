@@ -96,6 +96,27 @@ def test_verify_single_suite(capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_custom_etas(capsys):
+    args = ["verify", "--suite", "ideals", "--etas", "0,1,-1,2/3,5/7",
+            "--max-s", "1", "--max-n", "1"]
+    assert main(args) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [
+    ["--etas", "0,1"],          # the suites read the first five etas
+    ["--etas", "0,1,0,1,0"],    # five values, two distinct
+    ["--etas", "0,1,-1,2/3,x"],
+    ["--max-s", "0"],
+    ["--max-n", "0"],
+    ["--max-s", "-1"],
+])
+def test_verify_rejects_short_sweeps(bad, capsys):
+    assert main(["verify", "--suite", "ideals", *bad]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
 def test_parse_error_exit_code(capsys):
     assert main(["fuse", "P(0) *"]) == 2
     assert main(["green-mul", "St(0)"]) == 2  # St invalid over K2

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from greenring.errors import NoSolution
 from greenring.ratlin import (ONE, Rat, RatMatrix, SpanRREF, ZERO,
-                              block_diag, kernel_basis, kronecker_product,
-                              rat_from_str, rat_to_str, solve_linear)
+                              _echelon, block_diag, kernel_basis,
+                              kernel_dicts, kronecker_product, rat_from_str,
+                              rat_to_str, solve_linear, trace_product)
 
 
 def mat(rows):
@@ -107,3 +108,108 @@ def test_solve_consistent_systems(a, x):
     b = a.apply(x)
     x0, ker = solve_linear(a, b)
     assert a.apply(x0) == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(), matrices())
+def test_trace_product_matches_product_trace(a, b):
+    assert trace_product(a, b) == (a * b).trace()
+    assert trace_product(a, RatMatrix.zeros(3, 3)) == ZERO
+
+
+# -- the elimination core against a plain Gauss-Jordan reference ------
+
+
+def reference_rref(rows, ncols):
+    """Gauss-Jordan over Fraction on dense rows: (pivot cols, RREF rows as
+    sparse dicts), each row 1 at its pivot and 0 at the other pivots."""
+    m = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        p = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[k], m[p] = m[p], m[k]
+        m[k] = [v / m[k][c] for v in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][c]:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[k])]
+        pivots.append(c)
+    return pivots, [{j: v for j, v in enumerate(m[i]) if v}
+                    for i in range(len(pivots))]
+
+
+def reference_kernel(pivots, rref, ncols):
+    """One vector per free column, 1 there, minus the pivot rows' entries
+    at the pivots."""
+    return [{f: Fraction(1),
+             **{c: -row[f] for c, row in zip(pivots, rref) if f in row}}
+            for f in range(ncols) if f not in pivots]
+
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, ncols): up to 12 rows over up to 20 columns, each an integer
+    combination of up to 8 sparse base rows, so the rank falls short and
+    reduced rows hold several pivot columns."""
+    ncols = draw(st.integers(min_value=1, max_value=20))
+    entry = st.tuples(st.integers(min_value=0, max_value=ncols - 1),
+                      small_rats)
+    row = st.lists(entry, min_size=1, max_size=6).map(
+        lambda entries: {k: v for k, v in entries if v})
+    base = draw(st.lists(row, min_size=1, max_size=8))
+    coeffs = st.lists(st.integers(min_value=-9, max_value=9),
+                      min_size=len(base), max_size=len(base))
+    rows = []
+    for cs in draw(st.lists(coeffs, min_size=len(base), max_size=12)):
+        combo = {}
+        for c, r in zip(cs, base):
+            for k, v in r.items():
+                combo[k] = combo.get(k, ZERO) + c * v
+        rows.append({k: v for k, v in combo.items() if v})
+    return rows, ncols
+
+
+def dense_rows(rows, ncols):
+    return [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
+def test_echelon_matches_reference_rref(system):
+    rows, ncols = system
+    pivots, rref = reference_rref(rows, ncols)
+    assert _echelon([dict(r) for r in rows]) == (pivots, rref)
+    assert _echelon([dict(r) for r in rows], reduced=False) == (pivots, None)
+    assert kernel_dicts([dict(r) for r in rows], ncols) == \
+        reference_kernel(pivots, rref, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems(), st.data())
+def test_solve_linear_matches_reference(system, data):
+    rows, ncols = system
+    a = RatMatrix.from_rows(dense_rows(rows, ncols))
+    if data.draw(st.booleans()):  # consistent: b in the image of a
+        b = a.apply(data.draw(st.lists(small_rats, min_size=ncols,
+                                       max_size=ncols)))
+    else:
+        b = data.draw(st.lists(small_rats, min_size=a.rows,
+                               max_size=a.rows))
+    aug = [{**r, ncols: bi} if bi else r for r, bi in zip(rows, b)]
+    pivots, rref = reference_rref(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        with pytest.raises(NoSolution):
+            solve_linear(a, b)
+        return
+    x, ker = solve_linear(a, b)
+    expected = [ZERO] * ncols
+    for c, row in zip(pivots, rref):
+        expected[c] = row.get(ncols, ZERO)
+    assert x == expected
+    assert ker == kernel_basis(a)
+    assert ker == dense_rows(reference_kernel(*reference_rref(rows, ncols),
+                                              ncols), ncols)
