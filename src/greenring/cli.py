@@ -363,7 +363,7 @@ def build_parser():
 
     p = sub.add_parser("auslander", help="verify the Auslander algebra "
                        "isomorphism for K_m")
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=int, choices=(1, 2, 3))
     p.set_defaults(func=cmd_auslander)
 
     p = sub.add_parser("verify", help="rerun the verification suites")

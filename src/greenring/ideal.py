@@ -4,9 +4,15 @@ A proper additive tensor ideal is determined by a function f from the
 rational projective line to the positive integers extended by infinity:
 the ideal contains M_k(r,eta) exactly when f(eta) > k, and always
 contains the projectives.  IdealSpec stores f as a finite support map
-plus a default value.  Negligibility is detected by the pivotal quantum
-trace tr(rho(pivot) . T) over an endomorphism basis; the pivot is the
-group-like K (the generator b over DK1).
+plus a default value.
+
+The base case is the negligible ideal: M is negligible when the pivotal
+quantum trace T -> tr(rho(pivot) . T) vanishes on all of End(M); the
+pivot is the group-like K (the generator b over DK1).  End(M) is the
+kernel of the intertwining constraints C (rep.hom_rows), and a linear
+functional vanishes on ker C exactly when it lies in the row space of C,
+so negligibility is one row-space membership test, with no basis of
+End(M) built.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from math import inf
 
 from .errors import (InvalidLabel, NegativeCoefficient, NotEndomorphism)
 from .indec import EtaPoint, identify
-from .rep import hom_basis
-from .ratlin import ZERO, trace_product
+from .rep import hom_rows
+from .ratlin import in_row_space, trace_product
 
 
 class IdealSpec:
@@ -174,9 +180,18 @@ def qdim(m):
 
 
 def is_negligible(m):
-    """True iff the quantum trace vanishes on all of End(M)."""
-    piv = _pivot_matrix(m)
-    return all(trace_product(piv, t) == ZERO for t in hom_basis(m, m))
+    """True iff the quantum trace vanishes on all of End(M).
+
+    With K the pivot matrix and T vectorized as in rep.hom_rows (unknown
+    i * d + j is T[i, j]), tr(K T) = sum of K[j, i] T[i, j] is the
+    functional phi with phi[i * d + j] = K[j, i].  End(M) = ker C for the
+    constraint rows C, and phi vanishes on ker C iff phi is in row(C),
+    because the annihilator of ker C is (ker C)-perp = row(C).
+    """
+    d = m.dim
+    piv, _ = _pivot_matrix(m).int_form()  # a positive multiple of K
+    phi = {i * d + j: v for (j, i), v in piv.items()}
+    return in_row_space(hom_rows(m, m), phi, d * d)
 
 
 def is_quasi_dominated(m):

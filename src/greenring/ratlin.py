@@ -311,12 +311,29 @@ def trace_product(a, b):
 # realizes the "first nonzero entry by row-major scan" rule.  A reduced
 # echelon form is unique, so the output equals that of elimination over Q.
 #
+# The forward pass first takes out forced zeros.  A one-entry row says
+# its unknown is zero, so that column becomes the pivot {c: 1} and is
+# dropped from every other row, which may leave new one-entry rows; this
+# repeats until none is left.  Dropping a column c whose unit row e_c is
+# in the row space leaves the row space unchanged.  The diagonal K of
+# every realized module makes about a third of the rows of a hom system
+# such one-entry rows.  Only what is left goes through the
+# sparsest-first elimination.
+#
 # The back pass is output-sensitive: it costs one elimination per pivot
 # column a row actually holds, not a test of every earlier row for every
 # pivot.  It runs from the last pivot to the first, so each row is cleared
 # with rows that are already fully reduced.  Such a row is zero at every
 # other pivot column, so clearing one never brings a new pivot column in,
 # and the row's pivot columns can be read once, before any clearing.
+#
+# Membership of a vector v in the row space needs only the forward pass:
+# append v + e_n, with n a column past every other, as one more row.
+# Column n is a pivot exactly when v reduces to zero against the other
+# rows, i.e. when v lies in their span (in_row_space).
+
+
+_INT = {int}
 
 
 def _scaled(entries):
@@ -324,6 +341,8 @@ def _scaled(entries):
 
     entries is a dict of Rat (or int) values; ints has the same keys.
     """
+    if _INT.issuperset(map(type, entries.values())):
+        return dict(entries), 1  # already integers, as hom systems are
     den = lcm(*[v.denominator for v in entries.values()])
     if den == 1:
         return {k: v.numerator for k, v in entries.items()}, 1
@@ -378,20 +397,38 @@ def _pivot_row(r):
     return r
 
 
+def _forced_zeros(rows, pivots):
+    """Take the forced zeros out of the integer rows (see above).
+
+    Each forced column gets the pivot {c: 1} in pivots; returns the rows
+    that are left, with those columns dropped, in their given order.
+    """
+    rows = [r for r in rows if r]
+    while True:
+        forced = {c for r in rows if len(r) == 1 for c in r}
+        if not forced:
+            return rows
+        for c in forced:
+            pivots[c] = {c: 1}
+        rows = [r if r.keys().isdisjoint(forced)
+                else {c: v for c, v in r.items() if c not in forced}
+                for r in rows]
+        rows = [r for r in rows if r]
+
+
 def _echelon(rows, reduced=True):
     """Reduced row echelon form of a list of sparse rows.
 
     Returns (pivot_cols, pivot_rows): parallel lists, pivot_cols ascending,
-    each pivot row normalized to pivot entry 1 and fully reduced against
-    the others.  With reduced=False only the forward pass runs and
-    pivot_rows is None, which is all a rank needs.
+    each pivot row a primitive integer row, positive at its pivot and zero
+    at the other pivots; divided by its pivot entry it is the reduced row.
+    With reduced=False only the forward pass runs and pivot_rows is None,
+    which is all a rank or a membership test needs.
     """
-    # Process sparsest rows first: cheap and kills e.g. the one-entry
-    # rows produced by diagonal group-like constraints immediately.
-    order = sorted(range(len(rows)), key=lambda i: (len(rows[i]), i))
     pivots = {}  # col -> primitive integer row, positive at col
-    for idx in order:
-        r, _ = _scaled(rows[idx])
+    rows = _forced_zeros([_scaled(r)[0] for r in rows], pivots)
+    # Process the sparsest rows first: cheap, and it keeps fill-in low.
+    for r in sorted(rows, key=len):
         while r:
             c = min(r)
             p = pivots.get(c)
@@ -412,7 +449,7 @@ def _echelon(rows, reduced=True):
             for c2 in held:
                 r = _eliminate(r, pivots[c2], c2)[0]
             pivots[c] = _primitive(r)
-    return cols, [_rats(pivots[c], pivots[c][c]) for c in cols]
+    return cols, [pivots[c] for c in cols]
 
 
 def _rref_kernel(pivot_cols, pivot_rows, ncols):
@@ -422,11 +459,23 @@ def _rref_kernel(pivot_cols, pivot_rows, ncols):
     pivot_set = set(pivot_cols)
     kernel = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
     for c, row in zip(pivot_cols, pivot_rows):
+        p = row[c]
         for f, w in row.items():
             vec = kernel.get(f)  # None at pivots and at columns >= ncols
             if vec is not None:
-                vec[c] = -w
+                vec[c] = Rat(-w, p)
     return list(kernel.values())
+
+
+def in_row_space(rows, vec, ncols):
+    """Is the sparse row vec in the span of the sparse rows?
+
+    All columns lie below ncols.  Runs the forward pass only (see the
+    elimination-core comment above).
+    """
+    aug = dict(vec)
+    aug[ncols] = 1
+    return ncols in _echelon(rows + [aug], reduced=False)[0]
 
 
 def kernel_dicts(rows, ncols):
@@ -470,7 +519,8 @@ def solve_linear(a, b):
         raise NoSolution("rhs not in the image")
     x = [ZERO] * a.cols
     for c, row in zip(pivot_cols, pivot_rows):
-        x[c] = row.get(aug, ZERO)
+        if aug in row:
+            x[c] = Rat(row[aug], row[c])
     # aug is no pivot, so the rows without their aug entries are the
     # reduced echelon form of A itself
     kernel = _rref_kernel(pivot_cols, pivot_rows, a.cols)

@@ -214,16 +214,15 @@ class HomBasis:
         return self.basis[k]
 
 
-def hom_basis(m, n):
-    """All T with T rho_M(g) = rho_N(g) T, as a HomBasis.
+def hom_rows(m, n):
+    """The intertwining constraints T rho_M(g) = rho_N(g) T, as sparse
+    integer rows over the unknowns of T.
 
-    The unknown T is vectorized row-major over (target row, source col)
-    and the intertwining constraints are solved as one sparse system.
+    T is vectorized row-major over (target row, source col), so unknown
+    i * dim M + j is T[i, j]; Hom(M, N) is the kernel of these rows.
     """
     _same_algebra(m, n)
     dm, dn = m.dim, n.dim
-    if dm == 0 or dn == 0:
-        return HomBasis(m, n, [])
     rows = {}
     for lbl, _ in m.algebra.generators:
         # T am - an T = 0, scaled to integer coefficients
@@ -253,8 +252,18 @@ def hom_basis(m, n):
                     r[u] = nv
                 else:
                     del r[u]
+    return list(rows.values())
+
+
+def hom_basis(m, n):
+    """All T with T rho_M(g) = rho_N(g) T, as a HomBasis: the kernel of
+    hom_rows(m, n), solved as one sparse system."""
+    rows = hom_rows(m, n)
+    dm, dn = m.dim, n.dim
+    if dm == 0 or dn == 0:
+        return HomBasis(m, n, [])
     basis = [RatMatrix(dn, dm, {divmod(u, dm): v for u, v in vec.items()})
-             for vec in kernel_dicts(list(rows.values()), dn * dm)]
+             for vec in kernel_dicts(rows, dn * dm)]
     return HomBasis(m, n, basis)
 
 

@@ -343,12 +343,16 @@ SUITES = {
 }
 
 
-def run_suites(names, max_s=4, max_n=4, etas=None):
-    """Run the named suites in canonical order; returns (ok, report)."""
-    order = [n for n in SUITES if n in names]
-    results = [SUITES[n](max_s=max_s, max_n=max_n, etas=etas)
-               for n in order]
+def render_report(results):
+    """(ok, report) for suite results in canonical order."""
     ok = all(r.ok for r in results)
     report = "\n".join(r.render() for r in results)
     report += f"\noverall: {'PASS' if ok else 'FAIL'}"
     return ok, report
+
+
+def run_suites(names, max_s=4, max_n=4, etas=None):
+    """Run the named suites in canonical order; returns (ok, report)."""
+    order = [n for n in SUITES if n in names]
+    return render_report([SUITES[n](max_s=max_s, max_n=max_n, etas=etas)
+                          for n in order])

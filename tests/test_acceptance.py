@@ -5,10 +5,15 @@ the suites are computed once per session and shared across criteria.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
-from greenring.verify import SUITES, run_suites
+from greenring.verify import SUITES, render_report, run_suites
+
+# `greenring verify --suite all` output, pinned: a change that alters any
+# check line, count or note shows up here
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all.txt"
 
 _TIMINGS = {}
 
@@ -131,3 +136,8 @@ def test_criterion_12_deterministic_verify():
             [("first verify run passes", first[0]),
              ("second verify run passes", second[0]),
              ("the two reports are byte-identical", first[1] == second[1])])
+
+
+def test_verify_report_matches_golden(suites):
+    _, report = render_report([suites[name] for name in SUITES])
+    assert report + "\n" == GOLDEN_REPORT.read_text()

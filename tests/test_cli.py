@@ -90,6 +90,14 @@ def test_auslander(capsys):
     assert "isomorphism verified" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("m", ["0", "4", "-1"])
+def test_auslander_rejects_m_outside_1_to_3(m, capsys):
+    assert main(["auslander", m]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "invalid choice" in err
+    assert "Traceback" not in err
+
+
 def test_verify_single_suite(capsys):
     assert main(["verify", "--suite", "hopf"]) == 0
     out = capsys.readouterr().out

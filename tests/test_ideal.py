@@ -1,6 +1,7 @@
 """Tensor ideals, quantum traces, negligibility, quasi-domination."""
 
 import math
+import random
 
 import pytest
 
@@ -10,8 +11,9 @@ from greenring.ideal import (IdealSpec, ideal_closure, ideal_contains,
                              is_negligible, is_quasi_dominated, qdim,
                              quantum_trace)
 from greenring.indec import EtaPoint, IndecLabel, realize
-from greenring.ratlin import RatMatrix, ZERO
-from greenring.rep import direct_sum, hom_basis
+from greenring.ratlin import Rat, RatMatrix, ZERO
+from greenring.rep import (ModuleRep, check_module, direct_sum, hom_basis,
+                           tensor, zero_module)
 
 ETA0 = EtaPoint.finite(0, 1)
 ETA1 = EtaPoint.finite(1, 1)
@@ -111,6 +113,78 @@ def test_negligible_means_all_traces_vanish():
     m = realize(IndecLabel.mtype(2, 0, ETA0), "K2")
     for t in hom_basis(m, m):
         assert quantum_trace(m, t) == ZERO
+
+
+# -- is_negligible (row-space membership) against the trace definition
+
+
+def negligible_by_traces(m):
+    """The definition: the quantum trace vanishes on a basis of End(M)."""
+    return all(quantum_trace(m, t) == ZERO for t in hom_basis(m, m))
+
+
+GUARD_ETAS = (ETA0, ETA1, EtaPoint.infinity())
+GUARD_LABELS = ([IndecLabel.simple(r) for r in (0, 1)]
+                + [IndecLabel.proj(r) for r in (0, 1)]
+                + [IndecLabel.syz_pos(s, r) for s in (1, 2) for r in (0, 1)]
+                + [IndecLabel.syz_neg(s, r) for s in (1, 2) for r in (0, 1)]
+                + [IndecLabel.mtype(n, r, e) for n in (1, 2) for r in (0, 1)
+                   for e in GUARD_ETAS])
+
+
+def conjugated(m, steps):
+    """M with actions g A g^-1, g the product of the elementary matrices
+    I + c E_ij for (i, j, c) in steps: unimodular, with an exact inverse."""
+    n = m.dim
+    ident = RatMatrix.identity(n)
+    g, g_inv = ident, ident
+    for i, j, c in steps:
+        g = g * RatMatrix(n, n, {**ident.data, (i, j): Rat(c)})
+        g_inv = RatMatrix(n, n, {**ident.data, (i, j): Rat(-c)}) * g_inv
+    assert g * g_inv == ident
+    return ModuleRep(m.algebra, n, {lbl: g * a * g_inv
+                                    for lbl, a in m.actions.items()})
+
+
+def test_negligible_matches_traces_on_seeded_k2_products():
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(16):
+        a, b = rng.choice(GUARD_LABELS), rng.choice(GUARD_LABELS)
+        m = tensor(realize(a, "K2"), realize(b, "K2"))
+        want = negligible_by_traces(m)
+        assert is_negligible(m) == want, (str(a), str(b))
+        seen.add(want)
+    assert seen == {True, False}  # both outcomes are exercised
+
+
+def test_negligible_matches_traces_with_non_diagonal_k():
+    rng = random.Random(3)
+    for text in ("O(+1,0)", "M(1,0,0)", "V(1)"):
+        m = tensor(realize(IndecLabel.parse(text), "K2"),
+                   realize(IndecLabel.parse("O(-1,1)"), "K2"))
+        steps = [(*rng.sample(range(m.dim), 2), rng.choice((-1, 1)))
+                 for _ in range(m.dim)]
+        c = conjugated(m, steps)
+        assert check_module(c).ok
+        k = c.actions["K"]
+        assert any(i != j for i, j in k.data), "K is still diagonal"
+        assert is_negligible(c) == negligible_by_traces(c) \
+            == is_negligible(m), text
+
+
+def test_negligible_matches_traces_over_dk1():
+    st0, st1 = (realize(IndecLabel.steinberg(r), "DK1") for r in (0, 1))
+    o = realize(IndecLabel.syz_pos(1, 0), "DK1")
+    for m in (st0, st1, tensor(o, st1), tensor(o, o)):
+        assert is_negligible(m) == negligible_by_traces(m)
+    assert is_negligible(st0) and is_negligible(st1)
+    assert not is_negligible(tensor(o, o))
+
+
+def test_zero_module_is_negligible():
+    z = zero_module(realize(IndecLabel.simple(0), "K2").algebra)
+    assert is_negligible(z) and negligible_by_traces(z)
 
 
 def test_quasi_dominated():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from greenring.errors import InvalidLabel, NotInR0, OutOfRange
+from greenring import rep
 from greenring.hopf import build_km
 from greenring.indec import (EtaPoint, IndecLabel, identify, inflate_pi,
                              in_r0, realize, restrict_pi, syzygy)
@@ -178,20 +179,26 @@ GUARD_LABELS = ([IndecLabel.simple(r) for r in (0, 1)]
                    for e in GUARD_ETAS])
 
 
-def _scrambled(m, rng):
-    """M in the basis g, a seeded product of elementary matrices I +- E_ij."""
+def _conjugated(m, steps):
+    """M with actions g A g^-1, g the product of the elementary matrices
+    I + c E_ij for (i, j, c) in steps: unimodular, with an exact inverse."""
     n = m.dim
     ident = RatMatrix.identity(n)
     g, g_inv = ident, ident
-    for _ in range(n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-1, 1))
-        step = RatMatrix(n, n, {**ident.data, (i, j): Rat(c)})
-        step_inv = RatMatrix(n, n, {**ident.data, (i, j): Rat(-c)})
-        g, g_inv = g * step, step_inv * g_inv
+    for i, j, c in steps:
+        g = g * RatMatrix(n, n, {**ident.data, (i, j): Rat(c)})
+        g_inv = RatMatrix(n, n, {**ident.data, (i, j): Rat(-c)}) * g_inv
     assert g * g_inv == ident
-    return ModuleRep(m.algebra, n, {lbl: g_inv * a * g
+    return ModuleRep(m.algebra, n, {lbl: g * a * g_inv
                                     for lbl, a in m.actions.items()})
+
+
+def _scrambled(m, rng):
+    """M in the basis g, a seeded product of elementary matrices I +- E_ij."""
+    steps = [(*rng.sample(range(m.dim), 2), rng.choice((-1, 1)))
+             for _ in range(m.dim)]
+    # g^-1 A g, where g^-1 is the product of the inverse steps, reversed
+    return _conjugated(m, [(i, j, -c) for i, j, c in reversed(steps)])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -202,3 +209,24 @@ def test_identify_free_part_under_basis_change(seed):
     m = _scrambled(direct_sum([realize(l, "K2") for l in labels]), rng)
     assert check_module(m).ok
     assert identify(m) == sorted(labels, key=IndecLabel.sort_key)
+
+
+def test_identify_reaches_the_idempotent_split(monkeypatch):
+    """M(2,0,0) + V(1) in a basis where every Fitting candidate fails, so
+    End(M) is split by the idempotent route."""
+    calls = {"_meataxe_idempotent": 0, "_split_idempotent": 0}
+    for name in calls:
+        original = getattr(rep, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rep, name, counted)
+    m = _conjugated(direct_sum([realize(IndecLabel.parse("M(2,0,0)"), "K2"),
+                                realize(IndecLabel.simple(1), "K2")]),
+                    [(2, 0, 1), (2, 4, 1), (2, 4, 1), (4, 1, 1), (1, 4, 1)])
+    assert check_module(m).ok
+    assert identify(m) == [IndecLabel.simple(1),
+                           IndecLabel.parse("M(2,0,0)")]
+    assert calls == {"_meataxe_idempotent": 1, "_split_idempotent": 1}

@@ -1,6 +1,7 @@
 """Exact linear algebra layer."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from greenring.errors import NoSolution
 from greenring.ratlin import (ONE, Rat, RatMatrix, SpanRREF, ZERO,
-                              _echelon, block_diag, kernel_basis,
-                              kernel_dicts, kronecker_product, rat_from_str,
-                              rat_to_str, solve_linear, trace_product)
+                              _echelon, block_diag, in_row_space,
+                              kernel_basis, kernel_dicts, kronecker_product,
+                              rat_from_str, rat_to_str, solve_linear,
+                              trace_product)
 
 
 def mat(rows):
@@ -177,15 +179,81 @@ def dense_rows(rows, ncols):
     return [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
 
 
-@settings(max_examples=150, deadline=None)
-@given(sparse_systems())
-def test_echelon_matches_reference_rref(system):
-    rows, ncols = system
+@st.composite
+def forced_zero_systems(draw):
+    """sparse_systems with one-entry rows mixed in, and rows that become
+    one-entry rows once those columns are dropped, in a drawn order."""
+    rows, ncols = draw(sparse_systems())
+    col = st.integers(min_value=0, max_value=ncols - 1)
+    nonzero = small_rats.filter(bool)
+    units = draw(st.lists(col, max_size=4, unique=True))
+    extra = [{c: draw(nonzero)} for c in units]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        # one free entry plus entries at forced columns: the free column
+        # is forced in the next round
+        row = {c: draw(nonzero) for c in draw(st.lists(
+            st.sampled_from(units), max_size=3))} if units else {}
+        row[draw(col)] = draw(nonzero)
+        extra.append(row)
+    rows = rows + extra
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+def normalized(cols, int_rows):
+    """_echelon's primitive integer rows divided by their pivot entries,
+    after checking each is primitive and positive at its pivot."""
+    out = []
+    for c, row in zip(cols, int_rows):
+        assert row[c] > 0 and gcd(*row.values()) == 1
+        out.append({k: Fraction(v, row[c]) for k, v in row.items()})
+    return out
+
+
+def check_echelon_against_reference(rows, ncols):
     pivots, rref = reference_rref(rows, ncols)
-    assert _echelon([dict(r) for r in rows]) == (pivots, rref)
+    cols, int_rows = _echelon([dict(r) for r in rows])
+    assert cols == pivots and normalized(cols, int_rows) == rref
     assert _echelon([dict(r) for r in rows], reduced=False) == (pivots, None)
     assert kernel_dicts([dict(r) for r in rows], ncols) == \
         reference_kernel(pivots, rref, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
+def test_echelon_matches_reference_rref(system):
+    check_echelon_against_reference(*system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forced_zero_systems())
+def test_echelon_with_forced_zeros_matches_reference(system):
+    check_echelon_against_reference(*system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_systems(), forced_zero_systems()), st.data())
+def test_in_row_space_matches_reference_rank(system, data):
+    rows, ncols = system
+    if data.draw(st.booleans()):  # in the span: a combination of rows
+        cs = data.draw(st.lists(st.integers(min_value=-3, max_value=3),
+                                min_size=len(rows), max_size=len(rows)))
+        vec = {}
+        for c, r in zip(cs, rows):
+            for k, v in r.items():
+                vec[k] = vec.get(k, ZERO) + c * v
+    else:
+        entries = data.draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=ncols - 1), small_rats),
+            max_size=4))
+        vec = dict(entries)
+    vec = {k: v for k, v in vec.items() if v}
+    rank = len(reference_rref(rows, ncols)[0])
+    expected = len(reference_rref(rows + [vec], ncols)[0]) == rank
+    assert in_row_space([dict(r) for r in rows], vec, ncols) == expected
+    assert in_row_space([dict(r) for r in rows], {}, ncols)
+    assert in_row_space([], {}, ncols)
+    assert in_row_space([], {}, 0)
 
 
 @settings(max_examples=150, deadline=None)
