@@ -19,14 +19,16 @@ import json
 import re
 import sys
 
-from .errors import ExprSyntaxError, GreenRingError, InvalidLabel
+from .errors import (ExprSyntaxError, GreenRingError, InvalidLabel,
+                     InvalidModule)
 from .green import GreenElement, green_mul
 from .ideal import (IdealSpec, ideal_closure, ideal_contains, is_negligible,
                     qdim)
 from .indec import EtaPoint, IndecLabel, identify, realize
 from .projcat import verify_auslander_iso
 from .ratlin import rat_to_str
-from .rep import ModuleRep, direct_sum, dual, tensor, zero_module
+from .rep import (ModuleRep, check_module, direct_sum, dual, tensor,
+                  zero_module)
 from .verify import SUITES, run_suites
 
 
@@ -216,6 +218,11 @@ def cmd_fuse(args):
 def cmd_identify(args):
     with open(args.file) as fh:
         mod = ModuleRep.from_json_dict(json.load(fh))
+    report = check_module(mod)
+    if not report:
+        raise InvalidModule(
+            f"the actions do not define a {mod.algebra.name} module; "
+            f"failed: {', '.join(report.failures[:3])}")
     labels = identify(mod)
     out = GreenElement()
     for lbl in labels:
@@ -385,7 +392,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ExprSyntaxError, InvalidLabel, FileNotFoundError,
+    except (ExprSyntaxError, InvalidLabel, InvalidModule, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

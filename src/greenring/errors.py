@@ -25,6 +25,10 @@ class Unclassified(GreenRingError):
     """An indecomposable summand matched no classified label (a bug)."""
 
 
+class InvalidModule(GreenRingError):
+    """Module data is malformed or its actions do not define a module."""
+
+
 class NonSplitField(GreenRingError):
     """An endomorphism residue field is not the rationals."""
 

@@ -317,8 +317,10 @@ def trace_product(a, b):
 # repeats until none is left.  Dropping a column c whose unit row e_c is
 # in the row space leaves the row space unchanged.  The diagonal K of
 # every realized module makes about a third of the rows of a hom system
-# such one-entry rows.  Only what is left goes through the
-# sparsest-first elimination.
+# such one-entry rows.  A module given in another basis reaches this too:
+# rep.decompose first moves a K-type module to a K-eigenbasis, and every
+# piece it splits off keeps a diagonal K.  Only what is left goes through
+# the sparsest-first elimination.
 #
 # The back pass is output-sensitive: it costs one elimination per pivot
 # column a row actually holds, not a test of every earlier row for every

@@ -5,9 +5,13 @@ tensor products through the coproduct, duals through the antipode, hom
 spaces, radical/socle, projective covers and the full decomposition into
 indecomposables -- is exact linear algebra on those matrices.
 
-Decomposition strategy: over K2-type algebras the projective summands
-are split off first (the top odd word acts nonzero exactly on them, and
-the generated free submodule splits because the algebra is
+Decomposition strategy: over K2-type algebras M is first moved to a
+K-eigenbasis (K^2 = 1, so the two eigenspaces span M).  Summands inherit
+the diagonal K, because in such a basis the reduced echelon basis of a
+K-stable subspace is the union of those of its two eigenspace parts; so
+every hom system solved under decompose gets forced zeros.  Then the
+projective summands are split off (the top odd word acts nonzero exactly
+on them, and the generated free submodule splits because the algebra is
 self-injective); the remainder is handled by the endomorphism-algebra
 meataxe: the trace-form radical of End(M) certifies indecomposable
 modules (End(M) local), the others are split by Fitting splits on
@@ -19,7 +23,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .errors import AlgebraMismatch, GreenRingError, NonSplitField
+from .errors import (AlgebraMismatch, GreenRingError, InvalidModule,
+                     NonSplitField, OutOfRange)
 from .hopf import build_km, get_algebra, jacobson_radical
 from .ratlin import (ONE, Rat, RatMatrix, SpanRREF, ZERO, block_diag,
                      kernel_basis, kernel_dicts, kronecker_product,
@@ -79,11 +84,43 @@ class ModuleRep:
 
     @classmethod
     def from_json_dict(cls, d):
-        algebra = get_algebra(d["algebra"])
-        actions = {lbl: RatMatrix.from_rows(
-            [[rat_from_str(v) for v in row] for row in rows])
-            for lbl, rows in d["actions"].items()}
-        return cls(algebra, int(d["dim"]), actions)
+        """Inverse of to_json_dict.  Raises InvalidModule when the algebra
+        is unknown, a generator's action is missing or unknown, an action
+        is not dim x dim, or an entry is not a rational; whether the
+        actions define a module is check_module's question."""
+        if not (isinstance(d, dict)
+                and {"algebra", "dim", "actions"} <= d.keys()):
+            raise InvalidModule(
+                "a module needs the keys 'algebra', 'dim' and 'actions'")
+        try:
+            algebra = get_algebra(str(d["algebra"]))
+        except OutOfRange as exc:
+            raise InvalidModule(str(exc)) from None
+        dim, actions = d["dim"], d["actions"]
+        if type(dim) is not int or dim < 0:
+            raise InvalidModule(f"dim must be a non-negative integer, "
+                                f"not {dim!r}")
+        labels = [lbl for lbl, _ in algebra.generators]
+        if not isinstance(actions, dict) or set(actions) != set(labels):
+            raise InvalidModule(f"actions must be given for exactly the "
+                                f"generators {', '.join(labels)} of "
+                                f"{algebra.name}")
+        mats = {}
+        for lbl in labels:
+            rows = actions[lbl]
+            if not (isinstance(rows, list) and len(rows) == dim
+                    and all(isinstance(r, list) and len(r) == dim
+                            and all(isinstance(v, str) for v in r)
+                            for r in rows)):
+                raise InvalidModule(f"the action of {lbl} is not a "
+                                    f"{dim} x {dim} matrix of strings")
+            try:
+                mats[lbl] = RatMatrix.from_rows(
+                    [[rat_from_str(v) for v in row] for row in rows])
+            except (ValueError, ZeroDivisionError):
+                raise InvalidModule(f"the action of {lbl} has an entry "
+                                    "that is not a rational 'p/q'") from None
+        return cls(algebra, dim, mats)
 
     def __repr__(self):
         return f"ModuleRep({self.algebra.name}, dim={self.dim})"
@@ -407,6 +444,39 @@ def _k_eigen_split(mat, dim):
     return plus, minus
 
 
+def _k_eigenbasis(m):
+    """M in a basis of K-eigenvectors, the +1 block first; M itself when K
+    is already diagonal.
+
+    The basis change is P = [ker(K - I) | ker(K + I)].  Each kernel vector
+    is in normal form: 1 at its free column f (its last nonzero entry) and
+    0 at the other free columns of its kernel.  So the coordinate of x
+    along it is entry f of the eigencomponent (x +- Kx)/2, and the rows of
+    P^-1 are rows of (I + K)/2 and (I - K)/2: no elimination is needed.
+    """
+    k_act = m.actions["K"]
+    if all(i == j for i, j in k_act.data):
+        return m
+    plus, minus = _k_eigen_split(k_act, m.dim)
+    if len(plus) + len(minus) != m.dim:
+        raise GreenRingError(
+            "K does not act as an involution: its +1 and -1 eigenspaces "
+            f"span {len(plus) + len(minus)} of {m.dim} dimensions")
+    ident = RatMatrix.identity(m.dim)
+    rows = []  # the rows of 2 P^-1
+    for sign, vecs in ((ONE, plus), (-ONE, minus)):
+        twice_proj = (ident + k_act.scale(sign)).row_dicts()
+        rows += [twice_proj[max(j for j, v in enumerate(vec) if v)]
+                 for vec in vecs]
+    half = Rat(1, 2)
+    p_inv = RatMatrix(m.dim, m.dim, {(i, j): v * half
+                                     for i, row in enumerate(rows)
+                                     for j, v in row.items()})
+    p = RatMatrix.from_columns(plus + minus, rows=m.dim)
+    return ModuleRep(m.algebra, m.dim, {lbl: p_inv * a * p
+                                        for lbl, a in m.actions.items()})
+
+
 def projective_cover(m):
     """Projective cover (P, cover map) of a nonzero module.
 
@@ -560,6 +630,7 @@ def decompose(m):
     if m.algebra.name == "DK1":
         return _decompose_dk1(m)
     if m.algebra.name.startswith("K"):
+        m = _k_eigenbasis(m)
         summands, rest = _peel_projectives(m)
         if summands:
             return summands + decompose(rest)

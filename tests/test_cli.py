@@ -59,6 +59,37 @@ def test_identify_missing_file(capsys):
     assert main(["identify", "/nonexistent/mod.json"]) == 2
 
 
+def _k2_file(tmp_path, actions):
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps({"algebra": "K2", "dim": 2,
+                                "actions": actions}))
+    return str(path)
+
+
+ZERO2 = [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("actions", [
+    # ragged action matrix
+    {"K": [["1", "0"], ["0"]], "x1": ZERO2, "x2": ZERO2},
+    # K^2 != 1: not a module
+    {"K": [["2", "0"], ["1", "1"]], "x1": ZERO2, "x2": ZERO2},
+    # missing generator
+    {"K": [["1", "0"], ["0", "-1"]], "x1": ZERO2},
+], ids=["ragged", "non-module", "missing-generator"])
+def test_identify_rejects_bad_module_files(tmp_path, capsys, actions):
+    assert main(["identify", _k2_file(tmp_path, actions)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_identify_non_diagonal_k(tmp_path, capsys):
+    path = _k2_file(tmp_path, {"K": [["1", "1"], ["0", "-1"]],
+                               "x1": ZERO2, "x2": ZERO2})
+    assert main(["identify", path]) == 0
+    assert capsys.readouterr().out.strip() == "V(0) + V(1)"
+
+
 def test_ideal_closure_and_contains(tmp_path, capsys):
     assert main(["ideal", "closure", "M(2,0,0)", "M(1,0,inf)"]) == 0
     spec_text = capsys.readouterr().out

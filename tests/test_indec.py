@@ -6,12 +6,15 @@ import pytest
 
 from greenring.errors import InvalidLabel, NotInR0, OutOfRange
 from greenring import rep
+from greenring.green import STANDARD_ETAS
 from greenring.hopf import build_km
 from greenring.indec import (EtaPoint, IndecLabel, identify, inflate_pi,
                              in_r0, realize, restrict_pi, syzygy)
 from greenring.ratlin import Rat, RatMatrix
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
-                           dual, is_isomorphic, radical_vectors, tensor)
+                           dual, is_isomorphic, principal_projective,
+                           quotient_module, radical_vectors, socle_vectors,
+                           tensor, trivial_module)
 
 
 def test_label_parse_roundtrip():
@@ -211,9 +214,66 @@ def test_identify_free_part_under_basis_change(seed):
     assert identify(m) == sorted(labels, key=IndecLabel.sort_key)
 
 
+# identify with no free part, in a scrambled basis: decompose moves M to a
+# K-eigenbasis first, and every piece it splits off keeps a diagonal K
+
+DENSE_LABELS = ([IndecLabel.simple(r) for r in (0, 1)]
+                + [IndecLabel.syz_pos(s, r) for s in (1, 2, 3) for r in (0, 1)]
+                + [IndecLabel.syz_neg(s, r) for s in (1, 2, 3) for r in (0, 1)]
+                + [IndecLabel.mtype(n, r, e) for n in (1, 2, 3)
+                   for r in (0, 1) for e in STANDARD_ETAS])
+
+
+def _check_k_eigenbasis(m):
+    """M is K-type with a K that is not diagonal; its K-eigenbasis form is
+    an isomorphic module with K = diag(1, ..., 1, -1, ..., -1)."""
+    assert any(i != j for i, j in m.actions["K"].data)
+    e = rep._k_eigenbasis(m)
+    assert check_module(e).ok
+    signs = [e.actions["K"][i, i] for i in range(e.dim)]
+    assert e.actions["K"] == RatMatrix.diagonal(signs)
+    assert signs == [1] * signs.count(1) + [-1] * signs.count(-1)
+    assert is_isomorphic(e, m)[0]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_identify_without_free_part_under_basis_change(seed):
+    rng = random.Random(seed)
+    labels = [rng.choice(DENSE_LABELS) for _ in range(rng.randint(2, 3))]
+    m = _scrambled(direct_sum([realize(l, "K2") for l in labels]), rng)
+    assert check_module(m).ok
+    _check_k_eigenbasis(m)
+    assert identify(m) == sorted(labels, key=IndecLabel.sort_key)
+
+
+def test_decompose_k3_under_basis_change():
+    a = build_km(3)
+    proj = principal_projective(a, 1)[0]
+    parts = [principal_projective(a, 0)[0], trivial_module(a),
+             quotient_module(proj, socle_vectors(proj), close=False)[0]]
+    m = _scrambled(direct_sum(parts), random.Random(3))
+    assert check_module(m).ok
+    _check_k_eigenbasis(m)
+    got = decompose(m)
+    assert sorted(s.dim for s in got) == [1, 7, 8]
+    for part in parts:
+        assert any(is_isomorphic(part, s)[0] for s in got)
+
+
+def test_identify_dk1_with_bc_one_under_basis_change():
+    labels = [IndecLabel.parse("O(+1,0)"), IndecLabel.parse("M(1,1,2/3)")]
+    m = _scrambled(direct_sum([realize(l, "DK1") for l in labels]),
+                   random.Random(5))
+    assert check_module(m).ok
+    assert m.actions["b"] * m.actions["c"] == RatMatrix.identity(m.dim)
+    _check_k_eigenbasis(rep.dk1_as_k2_actions(m))
+    assert identify(m) == labels
+
+
 def test_identify_reaches_the_idempotent_split(monkeypatch):
-    """M(2,0,0) + V(1) in a basis where every Fitting candidate fails, so
-    End(M) is split by the idempotent route."""
+    """O(-2,1) + O(-1,1) + M(2,0,5/7) in a basis where, after the change to
+    a K-eigenbasis, every Fitting candidate on one piece fails, so its
+    End is split by the idempotent route."""
     calls = {"_meataxe_idempotent": 0, "_split_idempotent": 0}
     for name in calls:
         original = getattr(rep, name)
@@ -223,10 +283,17 @@ def test_identify_reaches_the_idempotent_split(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(rep, name, counted)
-    m = _conjugated(direct_sum([realize(IndecLabel.parse("M(2,0,0)"), "K2"),
-                                realize(IndecLabel.simple(1), "K2")]),
-                    [(2, 0, 1), (2, 4, 1), (2, 4, 1), (4, 1, 1), (1, 4, 1)])
+    summands = [IndecLabel.parse(t) for t in ("O(-2,1)", "O(-1,1)",
+                                              "M(2,0,5/7)")]
+    # the basis change is g = E_12 ... E_2 E_1 for the elementary steps
+    # E_k = I + c E_ij below; _conjugated multiplies on the right
+    steps = [(0, 3, 1), (11, 0, -1), (2, 1, 1), (4, 8, 1), (2, 11, 1),
+             (0, 2, 1), (9, 0, -1), (2, 11, 1), (6, 11, -1), (7, 3, -1),
+             (2, 1, 1), (0, 9, 1)]
+    m = _conjugated(direct_sum([realize(l, "K2") for l in summands]),
+                    steps[::-1])
     assert check_module(m).ok
-    assert identify(m) == [IndecLabel.simple(1),
-                           IndecLabel.parse("M(2,0,0)")]
+    assert identify(m) == [IndecLabel.parse("O(-1,1)"),
+                           IndecLabel.parse("O(-2,1)"),
+                           IndecLabel.parse("M(2,0,5/7)")]
     assert calls == {"_meataxe_idempotent": 1, "_split_idempotent": 1}

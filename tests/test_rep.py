@@ -1,10 +1,13 @@
 """Module operations: tensor, dual, hom, covers, decomposition."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenring import rep
+from greenring.errors import GreenRingError
 from greenring.hopf import build_dk1, build_km
-from greenring.indec import EtaPoint, IndecLabel, realize
+from greenring.indec import EtaPoint, IndecLabel, identify, realize
 from greenring.ratlin import Rat, RatMatrix
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
                            dual, hom_basis, injective_hull, is_isomorphic,
@@ -142,3 +145,30 @@ def test_decompose_inverts_direct_sum(labels):
     assert sorted(p.dim for p in parts) == sorted(l.dim() for l in labels)
     for lbl in labels:
         assert any(is_isomorphic(p, realize(lbl, "K2"))[0] for p in parts)
+
+
+def _k2_module(k):
+    zero = RatMatrix.zeros(len(k), len(k))
+    return ModuleRep(K2, len(k), {"K": RatMatrix.from_rows(k),
+                                  "x1": zero, "x2": zero})
+
+
+def test_k_eigenbasis_keeps_a_diagonal_k():
+    for m in [realize(l, "K2") for l in LABELS] + [
+            tensor(P(0), V(1)), rep.principal_projective(build_km(3), 1)[0]]:
+        assert rep._k_eigenbasis(m) is m
+
+
+def test_k_eigenbasis_diagonalizes_k():
+    m = _k2_module([[1, 1], [0, -1]])
+    e = rep._k_eigenbasis(m)
+    assert check_module(e).ok
+    assert e.actions["K"] == RatMatrix.diagonal([1, -1])
+    assert is_isomorphic(e, m)[0]
+
+
+def test_non_involutive_k_is_an_error():
+    m = _k2_module([[2, 0], [1, 1]])
+    assert not check_module(m).ok
+    with pytest.raises(GreenRingError, match="involution"):
+        identify(m)
