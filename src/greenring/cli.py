@@ -9,7 +9,7 @@ verify.  Expressions follow the grammar
 
 with labels in the V(r) / P(r) / O(+s,r) / O(-s,r) / M(n,r,eta) / St(r)
 syntax.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse error.
+parse error, malformed input file, or a module that no label names.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import json
 import re
 import sys
 
-from .errors import (ExprSyntaxError, GreenRingError, InvalidLabel,
-                     InvalidModule)
+from .errors import (ExprSyntaxError, GreenRingError, InvalidIdealSpec,
+                     InvalidLabel, InvalidModule, Unclassified)
 from .green import GreenElement, green_mul
 from .ideal import (IdealSpec, ideal_closure, ideal_contains, is_negligible,
                     qdim)
@@ -392,8 +392,8 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ExprSyntaxError, InvalidLabel, InvalidModule, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ExprSyntaxError, InvalidLabel, InvalidModule, InvalidIdealSpec,
+            Unclassified, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GreenRingError as exc:

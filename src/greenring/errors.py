@@ -22,15 +22,26 @@ class InvalidLabel(GreenRingError):
 
 
 class Unclassified(GreenRingError):
-    """An indecomposable summand matched no classified label (a bug)."""
+    """An indecomposable module that no classified label names.
+
+    Every label names a module whose endomorphism residue field is Q.  An
+    indecomposable K2 module whose residue field is larger, such as a band
+    module at an eta of degree 2 over Q, has no label.  For a module whose
+    residue field is Q, this error is a bug.
+    """
 
 
 class InvalidModule(GreenRingError):
     """Module data is malformed or its actions do not define a module."""
 
 
+class InvalidIdealSpec(GreenRingError):
+    """Ideal spec data is malformed."""
+
+
 class NonSplitField(GreenRingError):
-    """An endomorphism residue field is not the rationals."""
+    """A module could be neither split at a rational eigenvalue of a
+    sampled endomorphism nor certified indecomposable."""
 
 
 class NotInR0(GreenRingError):

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from math import inf
 
-from .errors import (InvalidLabel, NegativeCoefficient, NotEndomorphism)
+from .errors import (InvalidIdealSpec, InvalidLabel, NegativeCoefficient,
+                     NotEndomorphism)
 from .indec import EtaPoint, identify
 from .rep import hom_rows
 from .ratlin import in_row_space, trace_product
@@ -101,11 +102,33 @@ class IdealSpec:
 
     @classmethod
     def from_json_dict(cls, d):
-        if not d.get("proper", True):
+        """Inverse of to_json_dict.  Raises InvalidIdealSpec for a value
+        that is not an object, an unknown key, a "proper" that is not a
+        boolean, a support that is not a list of {"eta", "bound"} objects,
+        or a bound that is not a positive integer or "inf"; a bad eta is
+        an InvalidLabel."""
+        if not isinstance(d, dict):
+            raise InvalidIdealSpec("an ideal spec must be a JSON object")
+        unknown = set(d) - {"proper", "default", "support"}
+        if unknown:
+            raise InvalidIdealSpec(f"unknown ideal spec keys: "
+                                   f"{', '.join(sorted(unknown))}")
+        proper = d.get("proper", True)
+        if not isinstance(proper, bool):
+            raise InvalidIdealSpec(f"'proper' must be true or false, "
+                                   f"not {proper!r}")
+        if not proper:
             return cls.improper()
+        support = d.get("support", [])
+        if not (isinstance(support, list)
+                and all(isinstance(e, dict) and set(e) == {"eta", "bound"}
+                        and isinstance(e["eta"], str) for e in support)):
+            raise InvalidIdealSpec("'support' must be a list of objects "
+                                   "with the keys 'eta' (a string) and "
+                                   "'bound'")
         return cls(True,
                    {EtaPoint.parse(e["eta"]): _parse_bound(e["bound"])
-                    for e in d.get("support", [])},
+                    for e in support},
                    _parse_bound(d.get("default", "1")))
 
 
@@ -117,13 +140,14 @@ def _bound_str(b):
     return "inf" if b == inf else str(b)
 
 
-def _parse_bound(text):
-    text = str(text).strip()
-    if text == "inf":
+def _parse_bound(value):
+    """A bound from a positive integer, its decimal string, or "inf"."""
+    if value == "inf":
         return inf
-    b = int(text)
-    if b < 1:
-        raise ValueError("bounds must be positive")
+    b = int(value) if type(value) is str and value.isdecimal() else value
+    if type(b) is not int or b < 1:
+        raise InvalidIdealSpec(f"a bound must be a positive integer or "
+                               f"'inf', not {value!r}")
     return b
 
 

@@ -13,7 +13,7 @@ one: a rows x cols grid of rationals.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import NoSolution
 
@@ -532,11 +532,10 @@ def solve_linear(a, b):
 class SpanRREF:
     """Incrementally maintained RREF of a growing set of vectors.
 
-    Supports rank queries, membership, unique coordinates of a vector at
-    the pivot positions, and reduction modulo the span.  Used for column
-    spaces, submodule bases and quotient constructions.  Vectors are
-    dense sequences of rationals; the basis is kept fraction-free, as
-    primitive integer rows.
+    Supports rank queries and unique coordinates of a vector at the
+    pivot positions.  Used for column spaces, submodule bases and
+    quotient constructions.  Vectors are dense sequences of rationals;
+    the basis is kept fraction-free, as primitive integer rows.
     """
 
     def __init__(self, dim):
@@ -545,23 +544,19 @@ class SpanRREF:
         self.order = []   # pivot cols in insertion order
 
     def _reduce_int(self, vec):
-        """(r, den): vec modulo the span is r / den, r an integer row."""
-        r, den = _scaled(_nonzeros(vec))
+        """vec modulo the span, as an integer row scaled by a positive
+        factor: empty exactly when vec lies in the span."""
+        r = _scaled(_nonzeros(vec))[0]
         for c in list(r):
             # the pivot rows vanish at every other pivot column, so the
             # columns met here are the ones vec started with
             if c in r and c in self.pivots:
-                r, a = _eliminate(r, self.pivots[c], c)
-                den *= a
-        return r, den
-
-    def reduce(self, vec):
-        """Residual of vec (dense sequence) modulo the current span."""
-        return _rats(*self._reduce_int(vec))
+                r = _eliminate(r, self.pivots[c], c)[0]
+        return r
 
     def add(self, vec):
         """Add vec to the span; returns True if the rank grew."""
-        r, _ = self._reduce_int(vec)
+        r = self._reduce_int(vec)
         if not r:
             return False
         row = _pivot_row(r)
@@ -577,9 +572,6 @@ class SpanRREF:
     @property
     def rank(self):
         return len(self.pivots)
-
-    def contains(self, vec):
-        return not self._reduce_int(vec)[0]
 
     def basis_rows(self):
         """Current basis in ascending pivot order, as (pivot col, sparse
@@ -606,7 +598,7 @@ class SpanRREF:
         Each basis vector is 1 at its own pivot and 0 at the others, so
         the coordinates are the entries of vec at the pivot columns.
         """
-        if self._reduce_int(vec)[0]:
+        if self._reduce_int(vec):
             raise NoSolution("vector not in span")
         return [_as_rat(vec[c]) for c in sorted(self.pivots)]
 
@@ -626,3 +618,84 @@ def column_space(a):
     for vec in a.dense_columns():
         span.add(vec)
     return span
+
+
+# -- polynomials over Q ----------------------------------------------
+#
+# A polynomial is a list of Rat coefficients, lowest degree first, whose
+# last (leading) entry is nonzero; [] is the zero polynomial.
+
+
+def minimal_polynomial(a):
+    """Monic minimal polynomial of a square RatMatrix.
+
+    A Krylov pass over the powers I, A, A^2, ...: each is added to the
+    span of the earlier ones until one is dependent.  The power columns
+    then have a one-dimensional kernel, and its normal-form vector is 1
+    at the last power: the coefficients of the first relation.
+    """
+    n = a.rows
+    span = SpanRREF(n * n)
+    powers = [RatMatrix.identity(n)]
+    while span.add(_dense({i * n + j: v for (i, j), v
+                           in powers[-1].data.items()}, n * n)):
+        powers.append(powers[-1] * a)
+    rows = {}
+    for k, p in enumerate(powers):
+        for ij, v in p.data.items():
+            rows.setdefault(ij, {})[k] = v
+    (rel,) = kernel_dicts(list(rows.values()), len(powers))
+    return [rel.get(k, ZERO) for k in range(len(powers))]
+
+
+def _poly_divmod(a, b):
+    """(quotient, remainder) of the polynomial a by a nonzero b."""
+    r = list(a)
+    q = [ZERO] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = q[k] = r[-1] / b[-1]
+        for i, v in enumerate(b):
+            r[k + i] -= c * v
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def squarefree_part(p):
+    """p / gcd(p, p') for a nonzero p: over Q, the product of the distinct
+    irreducible factors of p, up to a nonzero scalar."""
+    g, h = p, [k * c for k, c in enumerate(p)][1:]
+    while h:  # Euclid: g becomes gcd(p, p')
+        g, h = h, _poly_divmod(g, h)[1]
+    return _poly_divmod(p, g)[0]
+
+
+def _divisors(n):
+    """Positive divisors of a nonzero integer."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small if d * d != n]
+
+
+def rational_roots(p):
+    """Distinct rational roots of a nonzero polynomial, ascending.
+
+    The rational-root test on f, the integer multiple of p with the
+    power t^low that divides it taken out (t^low gives the root 0): a
+    nonzero root w/v in lowest terms has w dividing f(0) and v dividing
+    the leading coefficient.
+    """
+    ints, _ = _scaled({k: c for k, c in enumerate(p) if c})
+    low = min(ints)
+    f = [ints.get(k, 0) for k in range(low, len(p))]
+    n = len(f) - 1
+    roots = {ZERO} if low else set()
+    for u in _divisors(f[0]):
+        for v in _divisors(f[n]):
+            if gcd(u, v) != 1:
+                continue
+            for w in (u, -u):  # is v^n f(w/v), an integer, zero?
+                if not sum(c * w ** k * v ** (n - k) for k, c in enumerate(f)):
+                    roots.add(Rat(w, v))
+    return sorted(roots)

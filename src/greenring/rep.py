@@ -15,8 +15,9 @@ on them, and the generated free submodule splits because the algebra is
 self-injective); the remainder is handled by the endomorphism-algebra
 meataxe: the trace-form radical of End(M) certifies indecomposable
 modules (End(M) local), the others are split by Fitting splits on
-sampled endomorphisms, with idempotent lifting as the certified fallback.
-Over DK1 the central involution bc splits the module first.
+sampled endomorphisms, and, when none of those splits, by a Fitting
+split at a rational eigenvalue found by the rational-root test.  Over
+DK1 the central involution bc splits the module first.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import (AlgebraMismatch, GreenRingError, InvalidModule,
-                     NonSplitField, OutOfRange)
+                     NonSplitField, OutOfRange, Unclassified)
 from .hopf import build_km, get_algebra, jacobson_radical
 from .ratlin import (ONE, Rat, RatMatrix, SpanRREF, ZERO, block_diag,
                      kernel_basis, kernel_dicts, kronecker_product,
-                     rat_from_str, rat_to_str, sparse_kernel)
+                     minimal_polynomial, rat_from_str, rat_to_str,
+                     rational_roots, sparse_kernel, squarefree_part)
 
 _radical_cache = {}
 
@@ -681,9 +683,10 @@ def _fitting_candidates(endos):
 def _meataxe(m):
     """End(M)-driven decomposition of a module with no free part.
 
-    The local-End certificate comes first: M is indecomposable exactly
-    when End(M)/rad is Q, and on a local End(M) every Fitting candidate
-    is nilpotent or invertible, so none of them could split M.
+    The local-End certificate comes first: M is indecomposable when
+    End(M)/rad is Q, and on a local End(M) every Fitting candidate is
+    nilpotent or invertible, so none of them could split M.  A larger
+    End(M)/rad can still be a field; _split_idempotent tells that case.
     """
     endos = hom_basis(m, m).basis
     if len(endos) == 1:
@@ -692,16 +695,21 @@ def _meataxe(m):
     if len(endos) - len(rad) == 1:
         return [m]
     for theta in _fitting_candidates(endos):
-        # any exponent >= dim gives the stable image and kernel
-        n = theta.power(2 ** (m.dim - 1).bit_length())
-        r = n.rank()
-        if 0 < r < m.dim:
-            sub_u, _ = submodule(m, n.dense_columns(), close=False)
-            sub_w, _ = submodule(m, kernel_basis(n), close=False)
-            if sub_u.dim + sub_w.dim != m.dim:
-                continue
-            return decompose(sub_u) + decompose(sub_w)
+        parts = _fitting_split(m, theta)
+        if parts:
+            return decompose(parts[0]) + decompose(parts[1])
     return _meataxe_idempotent(m, endos, rad)
+
+
+def _fitting_split(m, theta):
+    """M as (stable image, stable kernel) of the endomorphism theta, or
+    None when theta is nilpotent or invertible."""
+    # any exponent >= dim gives the stable image and kernel
+    n = theta.power(2 ** (m.dim - 1).bit_length())
+    if not 0 < n.rank() < m.dim:
+        return None
+    return (submodule(m, n.dense_columns(), close=False)[0],
+            submodule(m, kernel_basis(n), close=False)[0])
 
 
 def _end_radical(endos):
@@ -724,225 +732,52 @@ def _end_radical(endos):
     return kernel_basis(RatMatrix(n, n, gram))
 
 
-class _FiniteAlgebra:
-    """Structure constants of a subalgebra of matrices (e.g. End(M))."""
-
-    def __init__(self, mats):
-        self.mats = mats
-        self.n = len(mats)
-        self.basis_matrix = RatMatrix.from_columns(
-            [self._vec(t) for t in mats],
-            rows=mats[0].rows * mats[0].cols)
-
-    @staticmethod
-    def _vec(t):
-        out = [ZERO] * (t.rows * t.cols)
-        for (i, j), v in t.data.items():
-            out[i * t.cols + j] = v
-        return out
-
-    def coords(self, t):
-        from .ratlin import solve_linear
-        return solve_linear(self.basis_matrix, self._vec(t))[0]
-
-    def multiply_coords(self, x, y):
-        t = RatMatrix.zeros(self.mats[0].rows, self.mats[0].cols)
-        for i, ci in enumerate(x):
-            if ci:
-                t = t + self.mats[i].scale(ci)
-        s = RatMatrix.zeros(self.mats[0].rows, self.mats[0].cols)
-        for j, cj in enumerate(y):
-            if cj:
-                s = s + self.mats[j].scale(cj)
-        return self.coords(t * s)
-
-    def structure(self):
-        tab = {}
-        for i in range(self.n):
-            ei = [ZERO] * self.n
-            ei[i] = ONE
-            for j in range(self.n):
-                ej = [ZERO] * self.n
-                ej[j] = ONE
-                tab[(i, j)] = self.multiply_coords(ei, ej)
-        return tab
-
-
-def _min_poly_coords(tab, n, x):
-    """Monic minimal polynomial (coeff list, low degree first) of x."""
-    span = SpanRREF(n)
-    powers = []
-    cur = _unit_coords(tab, n)
-    while True:
-        powers.append(cur)
-        if not span.add(cur):
-            break
-        acc = [ZERO] * n
-        for i, ci in enumerate(cur):
-            if not ci:
-                continue
-            for j, cj in enumerate(x):
-                if not cj:
-                    continue
-                prod = tab[(i, j)]
-                for k, ck in enumerate(prod):
-                    if ck:
-                        acc[k] += ci * cj * ck
-        cur = acc
-    # powers[-1] = sum_j c_j powers[j]; solve the small linear system
-    kept = powers[:-1]
-    mat = RatMatrix.from_columns(kept, rows=n)
-    from .ratlin import solve_linear
-    sol, _ = solve_linear(mat, powers[-1])
-    return [-c for c in sol] + [ONE]
-
-
-def _unit_coords(tab, n):
-    """Coordinates of the two-sided unit in a structure-constant algebra."""
-    # e * b_j = b_j for all j: sum_i u_i tab[(i,j)] = e_j
-    mat = {}
-    for j in range(n):
-        for i in range(n):
-            col = tab[(i, j)]
-            for k, v in enumerate(col):
-                if v:
-                    mat[(j * n + k, i)] = v
-    b = [ZERO] * (n * n)
-    for j in range(n):
-        b[j * n + j] = ONE
-    from .ratlin import solve_linear
-    sol, _ = solve_linear(RatMatrix(n * n, n, mat), b)
-    return sol
-
-
 def _meataxe_idempotent(m, endos, rad):
-    """Split M, whose End(M) is not local, by idempotent lifting.
+    """Split M, whose End(M)/rad is not Q, at a rational eigenvalue of a
+    sampled endomorphism: the basis endos, then their pairwise sums.
 
     rad is the radical of End(M) in coordinates of the basis endos.
     """
-    n = len(endos)
-    tab = _FiniteAlgebra(endos).structure()
-    # quotient algebra on the non-pivot coordinates of the radical span
-    span = SpanRREF(n)
-    for v in rad:
-        span.add(v)
-    pivots = set(span.pivot_cols())
-    free = [j for j in range(n) if j not in pivots]
-    q = len(free)
-    pos = {j: k for k, j in enumerate(free)}
-
-    def project(vec):
-        res = span.reduce(vec)
-        out = [ZERO] * q
-        for c, v in res.items():
-            out[pos[c]] = v
-        return out
-
-    def lift(qvec):
-        out = [ZERO] * n
-        for k, j in enumerate(free):
-            out[j] = qvec[k]
-        return out
-
-    qtab = {}
-    for i in range(q):
-        for j in range(q):
-            qtab[(i, j)] = project(_mul_coords(tab, n, lift(_e(q, i)),
-                                               lift(_e(q, j))))
-    samples = []
-    for i in range(q):
-        samples.append(_e(q, i))
-    for i in range(q):
-        for j in range(i + 1, q):
-            samples.append([a + b for a, b in zip(_e(q, i), _e(q, j))])
-    for x in samples:
-        e_q = _split_idempotent(qtab, q, x)
-        if e_q is None:
-            continue
-        # lift to End(M) and make it exactly idempotent by Newton steps
-        e_mat = RatMatrix.zeros(m.dim, m.dim)
-        for k, c in enumerate(lift(e_q)):
-            if c:
-                e_mat = e_mat + endos[k].scale(c)
-        for _ in range(2 * n):
-            sq = e_mat * e_mat
-            if sq == e_mat:
-                break
-            e_mat = sq.scale(3) - (sq * e_mat).scale(2)
-        else:
-            continue
-        if e_mat.is_zero() or e_mat == RatMatrix.identity(m.dim):
-            continue
-        sub_u, _ = submodule(m, e_mat.dense_columns(), close=False)
-        sub_w, _ = submodule(m, kernel_basis(e_mat), close=False)
-        if sub_u.dim + sub_w.dim != m.dim or not sub_u.dim or not sub_w.dim:
-            continue
-        return decompose(sub_u) + decompose(sub_w)
+    q = len(endos) - len(rad)
+    k = len(endos)
+    samples = endos + [endos[i] + endos[j]
+                       for i in range(k) for j in range(i + 1, k)]
+    for theta in samples:
+        parts = _split_idempotent(m, theta, q)
+        if parts:
+            return decompose(parts[0]) + decompose(parts[1])
     raise NonSplitField(
-        "could not split a decomposable module; endomorphism residue "
-        "field is probably not rational")
+        "no sampled endomorphism splits M at a rational eigenvalue, and "
+        f"dim End(M)/rad = {q} is too large to certify that M is "
+        "indecomposable")
 
 
-def _e(n, i):
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
+def _split_idempotent(m, theta, q):
+    """M split at a rational eigenvalue of the endomorphism theta, or None.
 
-
-def _mul_coords(tab, n, x, y):
-    acc = [ZERO] * n
-    for i, ci in enumerate(x):
-        if not ci:
-            continue
-        for j, cj in enumerate(y):
-            if not cj:
-                continue
-            for k, ck in enumerate(tab[(i, j)]):
-                if ck:
-                    acc[k] += ci * cj * ck
-    return acc
-
-
-def _split_idempotent(qtab, q, x):
-    """A nontrivial idempotent of a split semisimple algebra from x.
-
-    Works through the minimal polynomial: if it has at least two coprime
-    irreducible factors f and g=p/f, Bezout u f + v g = 1 makes (v g)(x)
-    an idempotent killing the f-primary part.  Returns None when the
-    minimal polynomial of x is irreducible (or x is scalar-like).
+    End(M)/rad is semisimple over Q, so the minimal polynomial p of the
+    image of theta there is squarefree: it is the squarefree part of the
+    minimal polynomial of theta on M, which divides a power of p.
+    - A rational root lambda of a p of degree >= 2 makes theta - lambda
+      neither nilpotent nor invertible, so its Fitting split is proper;
+      the projection onto the generalized lambda-eigenspace is the
+      idempotent.
+    - If p has degree q = dim End(M)/rad, then Q[theta] is all of
+      End(M)/rad.  For q <= 3 with no rational root, p is irreducible, so
+      End(M)/rad is a field and M is indecomposable, with a residue field
+      larger than Q: no label names it, and Unclassified says so.
     """
-    import sympy
-
-    coeffs = _min_poly_coords(qtab, q, x)
-    t = sympy.Symbol("t")
-    poly = sympy.Poly([sympy.Rational(str(c)) for c in reversed(coeffs)], t,
-                      domain="QQ")
-    factors = poly.factor_list()[1]
-    if len(factors) < 2:
-        return None
-    f = factors[0][0] ** factors[0][1]
-    g = poly.quo(f)
-    u, v, one = sympy.Poly.gcdex(f, g)
-    if not one.is_one:
-        return None
-    vg = (v * g).rem(poly)
-    # evaluate vg at x inside the quotient algebra
-    unit = _unit_coords(qtab, q)
-    result = [ZERO] * q
-    power = unit
-    cs = list(reversed(vg.all_coeffs()))  # low degree first
-    for k, c in enumerate(cs):
-        if c != 0:
-            cr = Rat(int(sympy.numer(c)), int(sympy.denom(c)))
-            result = [a + cr * b for a, b in zip(result, power)]
-        if k + 1 < len(cs):
-            power = _mul_coords(qtab, q, power, x)
-    e2 = _mul_coords(qtab, q, result, result)
-    if e2 != result or not any(result):
-        return None
-    if result == unit:
-        return None
-    return result
+    p = squarefree_part(minimal_polynomial(theta))
+    roots = rational_roots(p)
+    if roots and len(p) > 2:
+        shift = RatMatrix.identity(m.dim).scale(roots[0])
+        return _fitting_split(m, theta - shift)
+    if not roots and len(p) - 1 == q <= 3:
+        raise Unclassified(
+            f"a dim-{m.dim} module is indecomposable over Q, but its "
+            f"endomorphism residue field has degree {q} over Q; the labels "
+            "name only modules whose residue field is Q")
+    return None
 
 
 # ---------------------------------------------------------------------
@@ -952,11 +787,12 @@ def _split_idempotent(qtab, q, x):
 def is_isomorphic(m, n):
     """(bool, witness): an invertible intertwiner M -> N if one exists.
 
-    The same module object is isomorphic to itself by the identity.
-    Otherwise tries hom basis elements, then a fixed deterministic
-    sequence of combinations, then exhaustive small-coefficient sums for
-    small hom spaces.  Backed by the dimension criterion for
-    indecomposables.
+    One of M and N must be indecomposable; then a basis of Hom(M, N)
+    holds an isomorphism whenever one exists.  For if phi: M -> N is one,
+    End(M) is local, so the maps in Hom(M, N) that are not isomorphisms
+    form the proper subspace phi rad End(M), and no basis lies inside a
+    proper subspace.  The same module object is isomorphic to itself by
+    the identity.
     """
     if m.algebra.name != n.algebra.name or m.dim != n.dim:
         return False, None
@@ -964,35 +800,7 @@ def is_isomorphic(m, n):
         return True, RatMatrix.zeros(0, 0)
     if m is n:
         return True, RatMatrix.identity(m.dim)
-    homs = hom_basis(m, n).basis
-    if not homs:
-        return False, None
-
-    def try_t(t):
-        return t.rank() == m.dim
-
-    for t in homs:
-        if try_t(t):
+    for t in hom_basis(m, n).basis:
+        if t.rank() == m.dim:
             return True, t
-    state = 7
-    for _ in range(10):
-        t = RatMatrix.zeros(n.dim, m.dim)
-        for h in homs:
-            state = (state * 1103515245 + 12345) % (1 << 31)
-            c = Rat((state >> 16) % 7 - 3)
-            if c:
-                t = t + h.scale(c)
-        if try_t(t):
-            return True, t
-    if len(homs) <= 5:
-        from itertools import product as iproduct
-        for coeffs in iproduct((0, 1, -1, 2), repeat=len(homs)):
-            if all(c == 0 for c in coeffs):
-                continue
-            t = RatMatrix.zeros(n.dim, m.dim)
-            for c, h in zip(coeffs, homs):
-                if c:
-                    t = t + h.scale(Rat(c))
-            if try_t(t):
-                return True, t
     return False, None

@@ -83,6 +83,22 @@ def test_identify_rejects_bad_module_files(tmp_path, capsys, actions):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_identify_module_with_no_label(tmp_path, capsys):
+    """The band module with residue field Q(i) is indecomposable over Q,
+    but no label names it."""
+    path = tmp_path / "mod.json"
+    x1 = [["0"] * 4, ["0"] * 4, ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    x2 = [["0"] * 4, ["0"] * 4, ["0", "-1", "0", "0"], ["1", "0", "0", "0"]]
+    k = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"],
+         ["0", "0", "0", "-1"]]
+    path.write_text(json.dumps({"algebra": "K2", "dim": 4,
+                                "actions": {"K": k, "x1": x1, "x2": x2}}))
+    assert main(["identify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "residue field" in err
+    assert "Traceback" not in err
+
+
 def test_identify_non_diagonal_k(tmp_path, capsys):
     path = _k2_file(tmp_path, {"K": [["1", "1"], ["0", "-1"]],
                                "x1": ZERO2, "x2": ZERO2})
@@ -99,6 +115,29 @@ def test_ideal_closure_and_contains(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["ideal", "contains", str(path), "V(0)"]) == 0
     assert capsys.readouterr().out.strip() == "false"
+
+
+@pytest.mark.parametrize("spec", [
+    [1, 2],
+    {"foo": 1},
+    {"proper": "yes"},
+    {"support": {"eta": "0", "bound": "2"}},
+    {"support": [{"eta": "0"}]},
+    {"support": [{"bound": "2"}]},
+    {"support": [{"eta": 0, "bound": "2"}]},
+    {"support": [{"eta": "0", "bound": "0"}]},
+    {"support": [{"eta": "0", "bound": 1.5}]},
+    {"default": "x"},
+    {"default": True},
+], ids=["non-object", "unknown-key", "proper-not-bool", "support-not-list",
+        "no-bound", "no-eta", "eta-not-string", "zero-bound",
+        "float-bound", "text-default", "bool-default"])
+def test_ideal_contains_rejects_bad_specs(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["ideal", "contains", str(path), "V(0)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_ideal_contains_usage_error():

@@ -1,16 +1,18 @@
 """Indecomposable labels, realizations, syzygies, identification."""
 
 import random
+import sys
 
 import pytest
 
-from greenring.errors import InvalidLabel, NotInR0, OutOfRange
+from greenring.errors import (InvalidLabel, NonSplitField, NotInR0,
+                              OutOfRange, Unclassified)
 from greenring import rep
 from greenring.green import STANDARD_ETAS
 from greenring.hopf import build_km
 from greenring.indec import (EtaPoint, IndecLabel, identify, inflate_pi,
                              in_r0, realize, restrict_pi, syzygy)
-from greenring.ratlin import Rat, RatMatrix
+from greenring.ratlin import Rat, RatMatrix, block_diag
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
                            dual, is_isomorphic, principal_projective,
                            quotient_module, radical_vectors, socle_vectors,
@@ -226,14 +228,19 @@ DENSE_LABELS = ([IndecLabel.simple(r) for r in (0, 1)]
 
 def _check_k_eigenbasis(m):
     """M is K-type with a K that is not diagonal; its K-eigenbasis form is
-    an isomorphic module with K = diag(1, ..., 1, -1, ..., -1)."""
+    an isomorphic module with K = diag(1, ..., 1, -1, ..., -1), and
+    P = [ker(K - I) | ker(K + I)] is the isomorphism."""
     assert any(i != j for i, j in m.actions["K"].data)
     e = rep._k_eigenbasis(m)
     assert check_module(e).ok
     signs = [e.actions["K"][i, i] for i in range(e.dim)]
     assert e.actions["K"] == RatMatrix.diagonal(signs)
     assert signs == [1] * signs.count(1) + [-1] * signs.count(-1)
-    assert is_isomorphic(e, m)[0]
+    plus, minus = rep._k_eigen_split(m.actions["K"], m.dim)
+    p = RatMatrix.from_columns(plus + minus, rows=m.dim)
+    assert p.rank() == m.dim
+    for lbl, a in m.actions.items():
+        assert a * p == p * e.actions[lbl]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -273,7 +280,9 @@ def test_identify_dk1_with_bc_one_under_basis_change():
 def test_identify_reaches_the_idempotent_split(monkeypatch):
     """O(-2,1) + O(-1,1) + M(2,0,5/7) in a basis where, after the change to
     a K-eigenbasis, every Fitting candidate on one piece fails, so its
-    End is split by the idempotent route."""
+    End is split at a rational eigenvalue of a sampled endomorphism; the
+    route needs no sympy."""
+    monkeypatch.setitem(sys.modules, "sympy", None)
     calls = {"_meataxe_idempotent": 0, "_split_idempotent": 0}
     for name in calls:
         original = getattr(rep, name)
@@ -296,4 +305,53 @@ def test_identify_reaches_the_idempotent_split(monkeypatch):
     assert identify(m) == [IndecLabel.parse("O(-1,1)"),
                            IndecLabel.parse("O(-2,1)"),
                            IndecLabel.parse("M(2,0,5/7)")]
-    assert calls == {"_meataxe_idempotent": 1, "_split_idempotent": 1}
+    # _split_idempotent runs once per sampled endomorphism; the third
+    # sample has a rational eigenvalue that splits the piece
+    assert calls == {"_meataxe_idempotent": 1, "_split_idempotent": 3}
+
+
+def _band(b):
+    """The K2 band module on which x1 is I and x2 is the matrix b, both
+    from the K = 1 block to the K = -1 block.  For a cyclic b, End is
+    Q[b]; when the minimal polynomial of b is a power of an irreducible
+    f, End/rad is the field Q[t]/f, and the module is indecomposable."""
+    k = len(b)
+    m = ModuleRep(build_km(2), 2 * k, {
+        "K": RatMatrix.diagonal([1] * k + [-1] * k),
+        "x1": RatMatrix(2 * k, 2 * k, {(k + i, i): Rat(1)
+                                       for i in range(k)}),
+        "x2": RatMatrix(2 * k, 2 * k, {
+            (k + i, j): Rat(v) for i, row in enumerate(b)
+            for j, v in enumerate(row) if v})})
+    assert check_module(m).ok
+    return m
+
+
+def test_identify_rejects_a_module_with_residue_field_q_i():
+    """End = Q(i): no rational-eta label names the module."""
+    with pytest.raises(Unclassified, match="residue field has degree 2"):
+        identify(_band([[0, -1], [1, 0]]))
+
+
+def test_split_idempotent_reads_the_squarefree_part():
+    """On the band of length 2 at t^2 + 1, End/rad is still Q(i).  The
+    endomorphism acting by b on both blocks has minimal polynomial
+    (t^2 + 1)^2; its squarefree part t^2 + 1 certifies the field."""
+    b = [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]]
+    m = _band(b)
+    endos = rep.hom_basis(m, m).basis
+    q = len(endos) - len(rep._end_radical(endos))
+    assert q == 2
+    theta = block_diag([RatMatrix.from_rows(b)] * 2)
+    assert all(theta * a == a * theta for a in m.actions.values())
+    with pytest.raises(Unclassified, match="degree 2"):
+        rep._split_idempotent(m, theta, q)
+
+
+def test_identify_cannot_certify_a_residue_field_of_degree_4():
+    """End = Q(2^(1/4)).  A squarefree minimal polynomial of degree 4
+    with no rational root may still factor into quadratics, so the
+    rational-root test cannot tell this field from a split End/rad."""
+    with pytest.raises(NonSplitField, match="too large"):
+        identify(_band([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0],
+                        [0, 0, 1, 0]]))

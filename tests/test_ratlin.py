@@ -11,7 +11,8 @@ from greenring.errors import NoSolution
 from greenring.ratlin import (ONE, Rat, RatMatrix, SpanRREF, ZERO,
                               _echelon, block_diag, in_row_space,
                               kernel_basis, kernel_dicts, kronecker_product,
-                              rat_from_str, rat_to_str, solve_linear,
+                              minimal_polynomial, rat_from_str, rat_to_str,
+                              rational_roots, solve_linear, squarefree_part,
                               trace_product)
 
 
@@ -110,6 +111,68 @@ def test_solve_consistent_systems(a, x):
     b = a.apply(x)
     x0, ker = solve_linear(a, b)
     assert a.apply(x0) == b
+
+
+def test_minimal_polynomial_examples():
+    # a Jordan block at 2 and an eigenvalue 3: (t - 2)^2 (t - 3)
+    assert minimal_polynomial(mat([[2, 1, 0], [0, 2, 0], [0, 0, 3]])) == [
+        -12, 16, -7, 1]
+    assert minimal_polynomial(mat([[2, 0, 0], [0, 2, 0], [0, 0, 3]])) == [
+        6, -5, 1]
+    assert minimal_polynomial(RatMatrix.identity(3)) == [-1, 1]
+    assert minimal_polynomial(RatMatrix.zeros(3, 3)) == [0, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices())
+def test_minimal_polynomial_is_the_first_relation(a):
+    mu = minimal_polynomial(a)
+    assert mu[-1] == 1
+    value = RatMatrix.zeros(3, 3)
+    for k, c in enumerate(mu):
+        value = value + a.power(k).scale(c)
+    assert value.is_zero()
+    # no relation of lower degree: I, A, ..., A^(d-1) are independent
+    flat = [[a.power(k)[i, j] for i in range(3) for j in range(3)]
+            for k in range(len(mu) - 1)]
+    assert RatMatrix.from_rows(flat).rank() == len(mu) - 1
+
+
+def poly_mul(*polys):
+    out = [ONE]
+    for p in polys:
+        acc = [ZERO] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                acc[i + j] += a * b
+        out = acc
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_rats, min_size=1, max_size=5), st.booleans())
+def test_squarefree_part_and_rational_roots(roots, with_irreducible):
+    """A product of linear factors (t - r), repeats allowed, and maybe of
+    the irreducible t^2 + 2 and (2t)^3 - 3."""
+    irreducible = [[Rat(2), ZERO, ONE], [Rat(-3), ZERO, ZERO, Rat(8)]]
+    factors = [[-r, ONE] for r in roots]
+    distinct = [[-r, ONE] for r in set(roots)]
+    if with_irreducible:
+        factors += irreducible + irreducible[:1]
+        distinct += irreducible
+    p = poly_mul(*factors)
+    assert rational_roots(p) == sorted(set(roots))
+    sf = squarefree_part(p)
+    want = poly_mul(*distinct)
+    assert len(sf) == len(want)
+    assert [c * want[-1] for c in sf] == [c * sf[-1] for c in want]
+
+
+def test_rational_roots_of_irreducibles():
+    assert rational_roots([ONE, ZERO, ONE]) == []  # t^2 + 1
+    assert rational_roots([Rat(-2), ZERO, ZERO, ONE]) == []  # t^3 - 2
+    assert rational_roots([Rat(5)]) == []
+    assert rational_roots([ZERO, ZERO, ONE]) == [0]  # t^2
 
 
 @settings(max_examples=40, deadline=None)

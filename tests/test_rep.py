@@ -164,7 +164,12 @@ def test_k_eigenbasis_diagonalizes_k():
     e = rep._k_eigenbasis(m)
     assert check_module(e).ok
     assert e.actions["K"] == RatMatrix.diagonal([1, -1])
-    assert is_isomorphic(e, m)[0]
+    # the witness P = [ker(K - I) | ker(K + I)] is invertible, A P = P A'
+    plus, minus = rep._k_eigen_split(m.actions["K"], m.dim)
+    p = RatMatrix.from_columns(plus + minus, rows=m.dim)
+    assert p.rank() == m.dim
+    for lbl, a in m.actions.items():
+        assert a * p == p * e.actions[lbl]
 
 
 def test_non_involutive_k_is_an_error():
