@@ -453,27 +453,19 @@ def check_hopf_axioms(algebra):
     rep.record("antipode", ok, detail)
 
     # generators generate: iterated products of generator vectors span A
-    span = set()
     from .ratlin import SpanRREF
-    sp = SpanRREF(n)
-    frontier = [a.unit] + [vec for _, vec in a.generators]
-    for vec in frontier:
-        dense = [ZERO] * n
-        for k, v in vec.items():
-            dense[k] = v
-        sp.add(dense)
+    sp = SpanRREF()
+    pool = [a.unit] + [vec for _, vec in a.generators]
+    for vec in pool:
+        sp.add(vec)
     changed = True
-    pool = list(frontier)
     while changed and sp.rank < n:
         changed = False
         new_pool = []
         for x in pool:
             for _, g in a.generators:
                 prod = a.multiply(x, g)
-                dense = [ZERO] * n
-                for k, v in prod.items():
-                    dense[k] = v
-                if sp.add(dense):
+                if sp.add(prod):
                     new_pool.append(prod)
                     changed = True
         pool = pool + new_pool
@@ -485,7 +477,7 @@ def check_hopf_axioms(algebra):
 def jacobson_radical(algebra):
     """Basis of the radical via the char-0 trace form tr(L_x L_y).
 
-    Returns dense vectors spanning the kernel of the Gram matrix of the
+    Returns sparse vectors spanning the kernel of the Gram matrix of the
     form (x, y) -> trace of left multiplication by xy.
     """
     n = algebra.dim

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import re
 
-from .errors import (InvalidLabel, NoSolution, NotInR0, OutOfRange,
-                     Unclassified)
+from .errors import (GreenRingError, InvalidLabel, NoSolution, NotInR0,
+                     OutOfRange)
 from .hopf import build_dk1, build_km
 from .ratlin import (ONE, Rat, RatMatrix, ZERO, kernel_basis, rat_from_str,
-                     rat_to_str, solve_linear)
+                     rat_to_str, solve_linear, span_coordinates)
 from .rep import (ModuleRep, decompose, dk1_as_k2_actions,
                   injective_hull, is_isomorphic, k2_as_dk1_actions,
                   projective_cover, quotient_module, radical_vectors,
@@ -336,11 +336,11 @@ def syzygy(k, r):
     if k > 0:
         for _ in range(k):
             p, cov = projective_cover(m)
-            m, _ = submodule(p, kernel_basis(cov), close=False)
+            m, _ = submodule(p, kernel_basis(cov))
     else:
         for _ in range(-k):
             hull, emb = injective_hull(m)
-            m, _ = quotient_module(hull, emb.dense_columns(), close=False)
+            m, _ = quotient_module(hull, emb.col_dicts())
     return m
 
 
@@ -387,12 +387,15 @@ def identify_indecomposable(m):
     if m.algebra.name == "DK1":
         if in_r0(m):
             return identify_indecomposable(restrict_pi(m))
-        # not in r0 and indecomposable: must be a Steinberg module
-        for r in (0, 1):
-            if is_isomorphic(m, realize(IndecLabel.steinberg(r), "DK1"))[0]:
-                return IndecLabel.steinberg(r)
-        raise Unclassified(f"dim-{m.dim} DK1 module outside r0 is not "
-                           "Steinberg")
+        # not in r0 and indecomposable: must be a Steinberg module, and
+        # tr(bad) is +2 on St(0) and -2 on St(1)
+        tr = (m.actions["b"] * m.actions["a"] * m.actions["d"]).trace()
+        if tr in (2, -2):
+            label = IndecLabel.steinberg(0 if tr == 2 else 1)
+            if is_isomorphic(m, realize(label, "DK1"))[0]:
+                return label
+        raise GreenRingError(f"dim-{m.dim} DK1 module outside r0 is not "
+                             "Steinberg")
     d = m.dim
     candidates = []
     if d == 1:
@@ -422,7 +425,8 @@ def identify_indecomposable(m):
         ok, _ = is_isomorphic(m, realize(lbl, "K2"))
         if ok:
             return lbl
-    raise Unclassified(f"dim-{d} indecomposable matched no classified label")
+    raise GreenRingError(
+        f"dim-{d} indecomposable matched no classified label")
 
 
 def _parity_invariant(m, kind):
@@ -436,7 +440,7 @@ def _parity_invariant(m, kind):
         return m.actions["K"].trace()
     x12 = _x1x2(m)
     (i, j), v = next(iter(x12.data.items()))
-    return m.actions["K"].apply(x12.column(j))[i] / v
+    return (m.actions["K"] * x12)[i, j] / v
 
 
 def _x1x2(m):
@@ -450,7 +454,7 @@ def _mtype_candidate(m):
     rad = radical_vectors(m)
     if len(rad) != n:
         return None
-    head, proj = quotient_module(m, rad, close=False)
+    head, _ = quotient_module(m, rad)
     if head.dim != n:
         return None
     # K acts on the head by a single sign, which fixes r
@@ -462,30 +466,29 @@ def _mtype_candidate(m):
         r = 1
     else:
         return None
-    # induced pencil head -> rad: coordinates of xi_i(lift) in the rad basis
-    from .ratlin import SpanRREF
-    span = SpanRREF(m.dim)
-    for v in rad:
-        span.add(v)
-    pivots = set(span.pivot_cols())
-    free = [j for j in range(m.dim) if j not in pivots]
+    # induced pencil head -> rad: coordinates of xi_i(lift) in the rad
+    # basis, the head lifted to the columns that are no pivot of rad
+    pivots = {min(v) for v in rad}
+    pos = {j: k for k, j in enumerate(c for c in range(m.dim)
+                                      if c not in pivots)}
+    incl = RatMatrix.from_columns(rad, m.dim)
     pencil = []
     for lbl in ("x1", "x2"):
-        cols = []
-        for j in free:
-            try:
-                cols.append(span.coordinates(m.actions[lbl].column(j)))
-            except NoSolution:
-                return None
-        pencil.append(RatMatrix.from_columns(cols, rows=n))
+        lifted = RatMatrix(m.dim, n, {(i, pos[j]): v for (i, j), v
+                                      in m.actions[lbl].data.items()
+                                      if j in pos})
+        try:
+            pencil.append(span_coordinates(incl, lifted))
+        except NoSolution:
+            return None
     a1, a2 = pencil
     if a1.rank() < n:
         return IndecLabel.mtype(n, r, EtaPoint.infinity())
     # eta = trace(a1^{-1} a2)/n, an invariant of the pencil
     tr = ZERO
-    for j, col in enumerate(a2.dense_columns()):
+    for j, col in enumerate(a2.col_dicts()):
         x, _ = solve_linear(a1, col)
-        tr += x[j]
+        tr += x.get(j, ZERO)
     return IndecLabel.mtype(n, r, EtaPoint(tr / n))
 
 

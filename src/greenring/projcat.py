@@ -14,8 +14,7 @@ from __future__ import annotations
 from .errors import OutOfRange, ZeroMap
 from .hopf import build_km
 from .indec import IndecLabel, realize
-from .ratlin import (ONE, Rat, RatMatrix, SpanRREF, ZERO,
-                     solve_linear)
+from .ratlin import ONE, Rat, RatMatrix, ZERO, kernel_dicts, solve_linear
 from .rep import (decompose, hom_basis, principal_projective,
                   radical_vectors, submodule)
 
@@ -70,20 +69,16 @@ class ProjSkeleton:
 
 
 def hom_coordinates(homs, t):
-    """Coordinates of an intertwiner in a hom basis."""
-    cols = []
-    for h in homs:
-        cols.append(_vec_matrix(h))
-    mat = RatMatrix.from_columns(cols, rows=t.rows * t.cols)
+    """Coordinates of an intertwiner in a hom basis, as a list."""
+    mat = RatMatrix.from_columns([_vec_matrix(h) for h in homs],
+                                 t.rows * t.cols)
     x, _ = solve_linear(mat, _vec_matrix(t))
-    return x
+    return [x.get(k, ZERO) for k in range(len(homs))]
 
 
 def _vec_matrix(t):
-    out = [ZERO] * (t.rows * t.cols)
-    for (i, j), v in t.data.items():
-        out[i * t.cols + j] = v
-    return out
+    """t as a sparse vector, row-major."""
+    return {i * t.cols + j: v for (i, j), v in t.data.items()}
 
 
 def build_skeleton(algebra_name):
@@ -184,26 +179,19 @@ def _generator_maps(m):
     for r in (0, 1):
         iotas.append(block(RatMatrix.identity(dims[r]), r, r))
     phis = {}
-    reg_dim = algebra.dim
     for r in (0, 1):
         for i in range(1, m + 1):
             # image of each basis element x e_r of P_r under x -> x xi_i e_s
             s = 1 - r
-            xi_vec = {algebra.index[(i,)]: ONE}
-            target_vec = [ZERO] * reg_dim
-            e_s = [ZERO] * reg_dim
-            e_s[algebra.index[()]] = Rat(1, 2)
-            e_s[algebra.index[(0,)]] = (ONE if s == 0 else -ONE) * Rat(1, 2)
+            e_s = {algebra.index[()]: Rat(1, 2),
+                   algebra.index[(0,)]: (ONE if s == 0 else -ONE) * Rat(1, 2)}
+            xi_es = _elem_mult(algebra, {algebra.index[(i,)]: ONE}, e_s)
             cols = []
             for bcol in incls[r].col_dicts():
                 # bcol is x e_r as an algebra element; multiply by xi_i e_s
-                x_mat = _left_mult(algebra, dict(bcol))
-                xi_es = _elem_mult(algebra, xi_vec,
-                                   {t: v for t, v in enumerate(e_s) if v})
-                img = x_mat.apply(_dense(xi_es, reg_dim))
+                img = _left_mult(algebra, bcol).apply(xi_es)
                 cols.append(_proj_coords(incls[s], img))
-            phis[(i, r)] = block(RatMatrix.from_columns(cols, rows=dims[s]),
-                                 s, r)
+            phis[(i, r)] = block(RatMatrix.from_columns(cols, dims[s]), s, r)
     return algebra, projs, incls, iotas, phis, total
 
 
@@ -233,13 +221,6 @@ def _elem_mult(algebra, x, y):
                     out[k] = nv
                 else:
                     out.pop(k, None)
-    return out
-
-
-def _dense(sparse, n):
-    out = [ZERO] * n
-    for k, v in sparse.items():
-        out[k] = v
     return out
 
 
@@ -307,10 +288,10 @@ def verify_auslander_iso(m):
                 src = 1 - src
             basis_maps.append(mat)
             basis_tags.append((w, r))
-    span = SpanRREF(total * total)
-    indep = all(span.add(_vec_matrix(b)) for b in basis_maps)
+    basis_matrix = RatMatrix.from_columns(
+        [_vec_matrix(b) for b in basis_maps], total * total)
     rep.record("phi^w_r maps form a basis of End",
-               indep and len(basis_maps) == 2 ** (m + 1))
+               basis_matrix.rank() == len(basis_maps) == 2 ** (m + 1))
 
     # F on the basis: iota_r -> e_r, phi^w_r -> w e_r
     n = algebra.dim
@@ -323,20 +304,16 @@ def verify_auslander_iso(m):
         else:
             f_images.append(e_r)
 
-    basis_matrix = RatMatrix.from_columns(
-        [_vec_matrix(b) for b in basis_maps], rows=total * total)
-
     def f_of(mat):
         coords, _ = solve_linear(basis_matrix, _vec_matrix(mat))
         out = {}
-        for c, img in zip(coords, f_images):
-            if c:
-                for k, v in img.items():
-                    nv = out.get(k, ZERO) + c * v
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
+        for b, c in coords.items():
+            for k, v in f_images[b].items():
+                nv = out.get(k, ZERO) + c * v
+                if nv:
+                    out[k] = nv
+                else:
+                    out.pop(k, None)
         return out
 
     hom_ok = True
@@ -348,12 +325,10 @@ def verify_auslander_iso(m):
                 hom_ok = False
     rep.record("F is multiplicative on all basis pairs", hom_ok)
 
-    img_span = SpanRREF(n)
-    for img in f_images:
-        img_span.add(_dense(img, n))
-    rep.record("F surjective onto the algebra", img_span.rank == n)
+    img_rank = RatMatrix.from_columns(f_images, n).rank()
+    rep.record("F surjective onto the algebra", img_rank == n)
     rep.record("dimensions equal, hence bijective",
-               len(basis_maps) == n and img_span.rank == n)
+               len(basis_maps) == n and img_rank == n)
     return rep
 
 
@@ -365,10 +340,7 @@ def has_simple_image_direct(phi, source, target):
     """Is im(phi) simple, computed on the module itself?"""
     if phi.is_zero():
         raise ZeroMap("the criterion applies to nonzero maps")
-    cols = []
-    for col in phi.col_dicts():
-        cols.append(_dense(col, target.dim))
-    img, _ = submodule(target, cols, close=False)
+    img, _ = submodule(target, phi.col_dicts())
     if radical_vectors(img):
         return False
     return len(decompose(img)) == 1
@@ -405,14 +377,11 @@ def has_simple_image_lemma(phi, skel, i, k):
                     comp = h * psi
                     for (a, b), v in comp.data.items():
                         rows.setdefault((t, a, b), {})[t_idx] = v
-                from .ratlin import sparse_kernel
-                ann = sparse_kernel(list(rows.values()), ncols)
-                for coeffs in ann:
+                for coeffs in kernel_dicts(list(rows.values()), ncols):
                     jphi = None
-                    for c, (h, _) in zip(coeffs, jbasis):
-                        if c:
-                            part = (h * phi).scale(c)
-                            jphi = part if jphi is None else jphi + part
+                    for t_idx, c in coeffs.items():
+                        part = (jbasis[t_idx][0] * phi).scale(c)
+                        jphi = part if jphi is None else jphi + part
                     if jphi is not None and not jphi.is_zero():
                         return False
     return True
@@ -420,8 +389,5 @@ def has_simple_image_lemma(phi, skel, i, k):
 
 def object_from_map(phi, source, target):
     """The image of a map between projectives, as a module."""
-    cols = []
-    for col in phi.col_dicts():
-        cols.append(_dense(col, target.dim))
-    img, _ = submodule(target, cols, close=False)
+    img, _ = submodule(target, phi.col_dicts())
     return img

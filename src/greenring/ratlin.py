@@ -8,7 +8,8 @@ row-major scan -- so kernel bases and normal forms are reproducible.
 
 Matrices are stored sparsely (dict of nonzero entries) because module
 action matrices are mostly zeros, but the public contract is the dense
-one: a rows x cols grid of rationals.
+one: a rows x cols grid of rationals.  Vectors are sparse dicts
+index -> nonzero Rat.
 """
 
 from __future__ import annotations
@@ -103,16 +104,12 @@ class RatMatrix:
         return cls(len(entries), len(entries), data)
 
     @classmethod
-    def from_columns(cls, columns, rows=None):
-        """Matrix whose j-th column is columns[j] (vectors as sequences)."""
-        nc = len(columns)
-        nr = rows if rows is not None else (len(columns[0]) if nc else 0)
-        data = {}
-        for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                if v:
-                    data[(i, j)] = _as_rat(v)
-        return cls(nr, nc, data)
+    def from_columns(cls, columns, rows):
+        """rows x len(columns) matrix whose j-th column is the sparse
+        vector columns[j]."""
+        return cls(rows, len(columns), {(i, j): _as_rat(v)
+                                        for j, col in enumerate(columns)
+                                        for i, v in col.items() if v})
 
     # -- access ------------------------------------------------------
 
@@ -122,16 +119,6 @@ class RatMatrix:
     def to_rows(self):
         return [[self.data.get((i, j), ZERO) for j in range(self.cols)]
                 for i in range(self.rows)]
-
-    def column(self, j):
-        return [self.data.get((i, j), ZERO) for i in range(self.rows)]
-
-    def dense_columns(self):
-        """All columns, as dense vectors."""
-        cols = [[ZERO] * self.rows for _ in range(self.cols)]
-        for (i, j), v in self.data.items():
-            cols[j][i] = v
-        return cols
 
     def row_dicts(self):
         rows = [dict() for _ in range(self.rows)]
@@ -210,13 +197,13 @@ class RatMatrix:
     __rmul__ = scale
 
     def apply(self, vec):
-        """Matrix-vector product; vec is a sequence of length cols."""
-        out = [ZERO] * self.rows
+        """Matrix-vector product of sparse vectors (dicts index -> Rat)."""
+        out = {}
         for (i, j), v in self.data.items():
-            w = vec[j]
-            if w is not ZERO and w:
-                out[i] = out[i] + v * w
-        return out
+            w = vec.get(j)
+            if w:
+                out[i] = out.get(i, ZERO) + v * w
+        return {i: v for i, v in out.items() if v}
 
     def transpose(self):
         return RatMatrix(self.cols, self.rows,
@@ -333,6 +320,12 @@ def trace_product(a, b):
 # append v + e_n, with n a column past every other, as one more row.
 # Column n is a pivot exactly when v reduces to zero against the other
 # rows, i.e. when v lies in their span (in_row_space).
+#
+# Every span is one _echelon call on sparse vectors: span_basis reads a
+# subspace's reduced basis off the pivot rows, and span_coordinates reads
+# coordinates in it off the pivot entries.  SpanRREF is the one
+# incremental route left, for the two callers that stop at the first
+# dependent vector (see its docstring).
 
 
 _INT = {int}
@@ -487,76 +480,73 @@ def kernel_dicts(rows, ncols):
     return _rref_kernel(*_echelon(rows), ncols)
 
 
-def _dense(vec, n):
-    """Dense vector of length n from a sparse dict."""
-    v = [ZERO] * n
-    for c, w in vec.items():
-        v[c] = w
-    return v
-
-
-def sparse_kernel(rows, ncols):
-    """kernel_dicts as dense vectors of length ncols."""
-    return [_dense(vec, ncols) for vec in kernel_dicts(rows, ncols)]
-
-
 def kernel_basis(a):
-    """Basis of the right null space of a RatMatrix, in normal form."""
-    return sparse_kernel(a.row_dicts(), a.cols)
+    """Basis of the right null space of a RatMatrix, in normal form, as
+    sparse vectors."""
+    return kernel_dicts(a.row_dicts(), a.cols)
+
+
+def span_basis(vectors):
+    """Reduced echelon basis of the span of sparse vectors: in ascending
+    pivot order, each 1 at its pivot (its least index) and 0 at the other
+    pivots.  A reduced echelon form is unique, so the basis depends only on
+    the span."""
+    return [_rats(r, r[c]) for c, r in zip(*_echelon(vectors))]
+
+
+def span_coordinates(incl, mat):
+    """X with incl X = mat, for incl a matrix whose columns are a
+    span_basis: X is mat's rows at the pivots of those columns.  Raises
+    NoSolution when a column of mat is outside their span."""
+    pos = {min(col): k for k, col in enumerate(incl.col_dicts())}
+    coords = RatMatrix(incl.cols, mat.cols, {(pos[i], j): v for (i, j), v
+                                             in mat.data.items() if i in pos})
+    if incl * coords != mat:
+        raise NoSolution("a column is outside the span")
+    return coords
 
 
 def solve_linear(a, b):
-    """One exact solution of A x = b plus a kernel basis.
+    """One exact solution x of A x = b plus a kernel basis, all sparse
+    vectors; x is 0 at the free columns.
 
     Raises NoSolution when b is not in the image of A.
     """
-    if len(b) != a.rows:
-        raise ValueError("rhs length must equal row count")
     rows = a.row_dicts()
     aug = a.cols  # column index used for the right-hand side
-    for i, bi in _nonzeros(b).items():
+    for i, bi in b.items():
         rows[i][aug] = bi
     pivot_cols, pivot_rows = _echelon(rows)
     if aug in pivot_cols:
         raise NoSolution("rhs not in the image")
-    x = [ZERO] * a.cols
-    for c, row in zip(pivot_cols, pivot_rows):
-        if aug in row:
-            x[c] = Rat(row[aug], row[c])
+    x = {c: Rat(row[aug], row[c])
+         for c, row in zip(pivot_cols, pivot_rows) if aug in row}
     # aug is no pivot, so the rows without their aug entries are the
     # reduced echelon form of A itself
-    kernel = _rref_kernel(pivot_cols, pivot_rows, a.cols)
-    return x, [_dense(vec, a.cols) for vec in kernel]
+    return x, _rref_kernel(pivot_cols, pivot_rows, a.cols)
 
 
 class SpanRREF:
-    """Incrementally maintained RREF of a growing set of vectors.
-
-    Supports rank queries and unique coordinates of a vector at the
-    pivot positions.  Used for column spaces, submodule bases and
-    quotient constructions.  Vectors are dense sequences of rationals;
-    the basis is kept fraction-free, as primitive integer rows.
+    """Incrementally maintained echelon form of a growing set of sparse
+    vectors, for the two callers that add vectors one at a time and stop
+    at the first dependent one or at full rank: the Krylov pass of
+    minimal_polynomial and the generators-generate check of
+    hopf.check_hopf_axioms.  Every other span is one _echelon call.  The
+    class stays a class because perfbench's tracer times SpanRREF.add.
+    The basis is kept fraction-free, as primitive integer rows.
     """
 
-    def __init__(self, dim):
-        self.dim = dim
+    def __init__(self):
         self.pivots = {}  # col -> primitive integer row, positive at col
-        self.order = []   # pivot cols in insertion order
 
-    def _reduce_int(self, vec):
-        """vec modulo the span, as an integer row scaled by a positive
-        factor: empty exactly when vec lies in the span."""
-        r = _scaled(_nonzeros(vec))[0]
+    def add(self, vec):
+        """Add the sparse vec to the span; returns True if the rank grew."""
+        r = _scaled(vec)[0]
         for c in list(r):
             # the pivot rows vanish at every other pivot column, so the
             # columns met here are the ones vec started with
             if c in r and c in self.pivots:
                 r = _eliminate(r, self.pivots[c], c)[0]
-        return r
-
-    def add(self, vec):
-        """Add vec to the span; returns True if the rank grew."""
-        r = self._reduce_int(vec)
         if not r:
             return False
         row = _pivot_row(r)
@@ -566,58 +556,15 @@ class SpanRREF:
             if c in r2:
                 self.pivots[c2] = _primitive(_eliminate(r2, row, c)[0])
         self.pivots[c] = row
-        self.order.append(c)
         return True
 
     @property
     def rank(self):
         return len(self.pivots)
 
-    def basis_rows(self):
-        """Current basis in ascending pivot order, as (pivot col, sparse
-        row) pairs, each row 1 at its pivot and 0 at the other pivots."""
-        return [(c, _rats(self.pivots[c], self.pivots[c][c]))
-                for c in sorted(self.pivots)]
-
-    def basis_vectors(self):
-        """Current basis in ascending pivot order, as dense vectors."""
-        out = []
-        for _, row in self.basis_rows():
-            v = [ZERO] * self.dim
-            for cc, vv in row.items():
-                v[cc] = vv
-            out.append(v)
-        return out
-
-    def pivot_cols(self):
-        return sorted(self.pivots)
-
-    def coordinates(self, vec):
-        """Coordinates of vec in basis_vectors(); raises if not in span.
-
-        Each basis vector is 1 at its own pivot and 0 at the others, so
-        the coordinates are the entries of vec at the pivot columns.
-        """
-        if self._reduce_int(vec):
-            raise NoSolution("vector not in span")
-        return [_as_rat(vec[c]) for c in sorted(self.pivots)]
-
-
-def _nonzeros(vec):
-    """Sparse dict of a dense vector; the shared ZERO is skipped unread."""
-    return {i: v for i, v in enumerate(vec) if v is not ZERO and v}
-
 
 def _as_rat(v):
     return v if type(v) is Rat else Rat(v)
-
-
-def column_space(a):
-    """SpanRREF of the column space of a RatMatrix."""
-    span = SpanRREF(a.rows)
-    for vec in a.dense_columns():
-        span.add(vec)
-    return span
 
 
 # -- polynomials over Q ----------------------------------------------
@@ -635,10 +582,9 @@ def minimal_polynomial(a):
     at the last power: the coefficients of the first relation.
     """
     n = a.rows
-    span = SpanRREF(n * n)
+    span = SpanRREF()
     powers = [RatMatrix.identity(n)]
-    while span.add(_dense({i * n + j: v for (i, j), v
-                           in powers[-1].data.items()}, n * n)):
+    while span.add({i * n + j: v for (i, j), v in powers[-1].data.items()}):
         powers.append(powers[-1] * a)
     rows = {}
     for k, p in enumerate(powers):

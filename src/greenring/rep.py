@@ -11,13 +11,18 @@ the diagonal K, because in such a basis the reduced echelon basis of a
 K-stable subspace is the union of those of its two eigenspace parts; so
 every hom system solved under decompose gets forced zeros.  Then the
 projective summands are split off (the top odd word acts nonzero exactly
-on them, and the generated free submodule splits because the algebra is
-self-injective); the remainder is handled by the endomorphism-algebra
-meataxe: the trace-form radical of End(M) certifies indecomposable
+on them, and the free part, spanned by the odd words applied to
+preimages of its image, splits because the algebra is self-injective);
+the remainder is handled by the endomorphism-algebra meataxe: the
+trace-form radical of End(M) certifies indecomposable
 modules (End(M) local), the others are split by Fitting splits on
 sampled endomorphisms, and, when none of those splits, by a Fitting
 split at a rational eigenvalue found by the rational-root test.  Over
 DK1 the central involution bc splits the module first.
+
+Vectors are sparse dicts index -> Rat.  submodule and quotient_module take
+vectors that already span a submodule, and read its basis off one reduced
+echelon form (ratlin.span_basis).
 """
 
 from __future__ import annotations
@@ -27,16 +32,17 @@ from math import lcm
 from .errors import (AlgebraMismatch, GreenRingError, InvalidModule,
                      NonSplitField, OutOfRange, Unclassified)
 from .hopf import build_km, get_algebra, jacobson_radical
-from .ratlin import (ONE, Rat, RatMatrix, SpanRREF, ZERO, block_diag,
+from .ratlin import (ONE, Rat, RatMatrix, _echelon, block_diag,
                      kernel_basis, kernel_dicts, kronecker_product,
                      minimal_polynomial, rat_from_str, rat_to_str,
-                     rational_roots, sparse_kernel, squarefree_part)
+                     rational_roots, span_basis, span_coordinates,
+                     squarefree_part)
 
 _radical_cache = {}
 
 
 def algebra_radical(algebra):
-    """Cached radical basis (dense vectors) of an algebra."""
+    """Cached radical basis (sparse vectors) of an algebra."""
     if algebra.name not in _radical_cache:
         _radical_cache[algebra.name] = jacobson_radical(algebra)
     return _radical_cache[algebra.name]
@@ -53,9 +59,6 @@ class ModuleRep:
             if lbl not in self.actions:
                 raise ValueError(f"missing action for generator {lbl}")
         self._word_actions = {}
-
-    def gen_action(self, label):
-        return self.actions[label]
 
     def word_action(self, k):
         """Action matrix of the k-th basis word of the algebra."""
@@ -307,77 +310,51 @@ def hom_basis(m, n):
 
 
 def radical_vectors(m):
-    """Basis of rad(M) = J(A).M as dense vectors (echelon form)."""
-    span = SpanRREF(m.dim)
-    for jvec in algebra_radical(m.algebra):
-        sparse = {k: v for k, v in enumerate(jvec) if v}
-        for vec in m.elem_action(sparse).dense_columns():
-            span.add(vec)
-    return span.basis_vectors()
+    """Basis of rad(M) = J(A).M, as a span_basis."""
+    return span_basis([col for jvec in algebra_radical(m.algebra)
+                       for col in m.elem_action(jvec).col_dicts()])
 
 
 def socle_vectors(m):
     """Basis of soc(M) = {v : J(A).v = 0}."""
     rows = []
     for jvec in algebra_radical(m.algebra):
-        sparse = {k: v for k, v in enumerate(jvec) if v}
-        mat = m.elem_action(sparse)
-        rows.extend(mat.row_dicts())
-    return sparse_kernel(rows, m.dim)
+        rows.extend(m.elem_action(jvec).row_dicts())
+    return kernel_dicts(rows, m.dim)
 
 
-def _span(m, vectors, close):
-    """SpanRREF of the vectors, closed under the generator actions if
-    close is set."""
-    span = SpanRREF(m.dim)
-    for v in vectors:
-        span.add(v)
-    if close:
-        frontier = span.basis_vectors()
-        while frontier:
-            new = []
-            for v in frontier:
-                for lbl, _ in m.algebra.generators:
-                    w = m.actions[lbl].apply(v)
-                    if span.add(w):
-                        new.append(w)
-            frontier = new
-    return span
+def submodule(m, vectors):
+    """Submodule spanned by the given sparse vectors, which must span one.
 
-
-def submodule(m, vectors, close=True):
-    """Submodule spanned by the given vectors.
-
-    Returns (sub, inclusion) where inclusion maps sub coordinates into M.
-    With close=True the span is first closed under all generator actions.
+    Returns (sub, inclusion): the inclusion's columns are the span_basis
+    of the vectors, and each generator acts on sub by the coordinates of
+    rho(g) . inclusion in that basis.  Raises NoSolution when the span is
+    not a submodule.
     """
-    span = _span(m, vectors, close)
-    basis = span.basis_vectors()
-    d = len(basis)
-    incl = RatMatrix.from_columns(basis, rows=m.dim)
-    actions = {}
-    for lbl, _ in m.algebra.generators:
-        cols = [span.coordinates(m.actions[lbl].apply(b)) for b in basis]
-        actions[lbl] = RatMatrix.from_columns(cols, rows=d)
-    return ModuleRep(m.algebra, d, actions), incl
+    basis = span_basis(vectors)
+    incl = RatMatrix.from_columns(basis, m.dim)
+    actions = {lbl: span_coordinates(incl, m.actions[lbl] * incl)
+               for lbl, _ in m.algebra.generators}
+    return ModuleRep(m.algebra, len(basis), actions), incl
 
 
-def quotient_module(m, vectors, close=True):
-    """Quotient of M by the submodule spanned by vectors.
+def quotient_module(m, vectors):
+    """Quotient of M by the submodule spanned by the sparse vectors.
 
     Returns (quot, projection) with projection a (dim quot) x (dim M)
     matrix; the quotient carrier is the non-pivot coordinates of the
-    subspace in reduced echelon form.
+    subspace's span_basis.
     """
-    rows = _span(m, vectors, close).basis_rows()
-    pivots = {c for c, _ in rows}
+    basis = span_basis(vectors)
+    pivots = {min(b) for b in basis}
     free = [j for j in range(m.dim) if j not in pivots]
     d = len(free)
     pos = {j: k for k, j in enumerate(free)}
-    # e_j mod the span: e_j itself for a free j, e_c - row_c for a pivot c
+    # e_j mod the span: e_j itself for a free j, e_c - b_c for a pivot c
     data = {(k, j): ONE for k, j in enumerate(free)}
-    for c, row in rows:
-        for j, v in row.items():
+    for b in basis:
+        c = min(b)
+        for j, v in b.items():
             if j != c:
                 data[(pos[j], c)] = -v
     proj = RatMatrix(d, m.dim, data)
@@ -426,16 +403,23 @@ def principal_projective(algebra, r):
     key = (algebra.name, r)
     if key in _principal_proj_cache:
         return _principal_proj_cache[key]
-    reg = regular_module(algebra)
-    n = algebra.dim
-    sign = ONE if r == 0 else -ONE
-    e = [ZERO] * n
-    e[algebra.index[()]] = Rat(1, 2)
-    e[algebra.index[(0,)]] = sign * Rat(1, 2)
-    sub, incl = submodule(reg, [e])
+    half = Rat(1, 2)
+    e = {algebra.index[()]: half,
+         algebra.index[(0,)]: half if r == 0 else -half}
+    # A.e_r is spanned by the products w e_r with the basis words w
+    sub, incl = submodule(regular_module(algebra),
+                          [algebra.multiply({k: ONE}, e)
+                           for k in range(algebra.dim)])
     # remember the algebra elements realizing the canonical basis
     _principal_proj_cache[key] = (sub, incl)
     return sub, incl
+
+
+def _k_halves(k_act):
+    """[(I + K)/2, (I - K)/2]: for an involution K, the projections onto
+    its +1 and its -1 eigenspace."""
+    ident = RatMatrix.identity(k_act.rows)
+    return [(ident + k_act.scale(c)).scale(Rat(1, 2)) for c in (ONE, -ONE)]
 
 
 def _k_eigen_split(mat, dim):
@@ -464,17 +448,13 @@ def _k_eigenbasis(m):
         raise GreenRingError(
             "K does not act as an involution: its +1 and -1 eigenspaces "
             f"span {len(plus) + len(minus)} of {m.dim} dimensions")
-    ident = RatMatrix.identity(m.dim)
-    rows = []  # the rows of 2 P^-1
-    for sign, vecs in ((ONE, plus), (-ONE, minus)):
-        twice_proj = (ident + k_act.scale(sign)).row_dicts()
-        rows += [twice_proj[max(j for j, v in enumerate(vec) if v)]
-                 for vec in vecs]
-    half = Rat(1, 2)
-    p_inv = RatMatrix(m.dim, m.dim, {(i, j): v * half
-                                     for i, row in enumerate(rows)
+    rows = []  # the rows of P^-1
+    for half, vecs in zip(_k_halves(k_act), (plus, minus)):
+        half_rows = half.row_dicts()
+        rows += [half_rows[max(vec)] for vec in vecs]
+    p_inv = RatMatrix(m.dim, m.dim, {(i, j): v for i, row in enumerate(rows)
                                      for j, v in row.items()})
-    p = RatMatrix.from_columns(plus + minus, rows=m.dim)
+    p = RatMatrix.from_columns(plus + minus, m.dim)
     return ModuleRep(m.algebra, m.dim, {lbl: p_inv * a * p
                                         for lbl, a in m.actions.items()})
 
@@ -495,31 +475,21 @@ def projective_cover(m):
 def _projective_cover_ktype(m):
     algebra = m.algebra
     rad = radical_vectors(m)
-    head, proj = quotient_module(m, rad, close=False)
-    kh = head.actions["K"]
-    plus, minus = _k_eigen_split(kh, head.dim)
-    span = SpanRREF(m.dim)
-    for v in rad:
-        span.add(v)
-    pivots = set(span.pivot_cols())
+    head, _ = quotient_module(m, rad)
+    plus, minus = _k_eigen_split(head.actions["K"], head.dim)
+    pivots = {min(v) for v in rad}
     free = [j for j in range(m.dim) if j not in pivots]
+    halves = _k_halves(m.actions["K"])
     pieces = []
     cover_blocks = []
     for r, eigvecs in ((0, plus), (1, minus)):
-        sign = ONE if r == 0 else -ONE
+        proj_mod, incl = principal_projective(algebra, r)
         for hv in eigvecs:
             # lift the head eigenvector, then project onto the K-eigenspace
-            v0 = [ZERO] * m.dim
-            for k, j in enumerate(free):
-                v0[j] = hv[k]
-            kv = m.actions["K"].apply(v0)
-            v = [(v0[i] + sign * kv[i]) / 2 for i in range(m.dim)]
-            proj_mod, incl = principal_projective(algebra, r)
-            cols = []
-            for bcol in incl.col_dicts():
-                # basis vector of P(r), as an algebra element, applied to v
-                cols.append(m.elem_action(dict(bcol)).apply(v))
-            cover_blocks.append(RatMatrix.from_columns(cols, rows=m.dim))
+            v = halves[r].apply({free[k]: x for k, x in hv.items()})
+            # each basis vector of P(r), as an algebra element, applied to v
+            cols = [m.elem_action(bcol).apply(v) for bcol in incl.col_dicts()]
+            cover_blocks.append(RatMatrix.from_columns(cols, m.dim))
             pieces.append(proj_mod)
     p = direct_sum(pieces, algebra=algebra)
     cov = cover_blocks[0] if cover_blocks else RatMatrix.zeros(m.dim, 0)
@@ -542,8 +512,8 @@ def _projective_cover_dk1(m):
     if not plus:
         # purely Steinberg-isotypic: semisimple projective, covers itself
         return m, RatMatrix.identity(m.dim)
-    sub_p, incl_p = submodule(m, plus, close=False)
-    sub_m, incl_m = submodule(m, minus, close=False)
+    sub_p, incl_p = submodule(m, plus)
+    sub_m, incl_m = submodule(m, minus)
     p1, cov1 = _projective_cover_dk1(sub_p)
     p2, cov2 = _projective_cover_dk1(sub_m)
     p = direct_sum([p1, p2])
@@ -584,45 +554,37 @@ def _peel_projectives(m):
     The K-eigencomponents of im(top) are the columns of (top +- K.top)/2.
     As K.top = (-1)^m top.K, column j has the preimage
     u = (e_j +- (-1)^m K e_j)/2, a K-eigenvector, so A.u is P(0) when
-    K u = u and P(1) when K u = -u.
+    K u = u and P(1) when K u = -u; u is column j of (I +- K)/2.  One u
+    is taken per pivot column of the components, in the order j, then the
+    sign: that picks each column that is independent of the ones before it.
     """
     algebra = m.algebra
     mgen = len(algebra.gen_labels) - 1
     top = m.word_action(_top_word_index(algebra))
     if top.is_zero():
         return [], m
-    k_act = m.actions["K"]
-    k_top = k_act * top
-    half = Rat(1, 2)
-    comps = (((top + k_top).scale(half).dense_columns(), ONE),
-             ((top - k_top).scale(half).dense_columns(), -ONE))
-    k_cols = k_act.col_dicts()
-    span = SpanRREF(m.dim)
-    preimages = []  # (r, u): A.u is P(r)
-    for j in range(m.dim):
-        for cols, wsign in comps:
-            if not span.add(cols[j]):
-                continue
-            usign = wsign if mgen % 2 == 0 else -wsign
-            u = [ZERO] * m.dim
-            for i, v in k_cols[j].items():
-                u[i] = usign * v * half
-            u[j] += half
-            preimages.append((0 if usign == ONE else 1, u))
-    # the free part is spanned by the odd words applied to each u
+    k_top = m.actions["K"] * top
+    rows = [{} for _ in range(m.dim)]  # column 2j + s: component s of j
+    for s, comp in enumerate((top + k_top, top - k_top)):
+        for (i, j), v in comp.data.items():
+            rows[i][2 * j + s] = v
+    halves = [h.col_dicts() for h in _k_halves(m.actions["K"])]
+    free = []  # spans the free part: A.u for each preimage u
+    preimages = []  # r: A.u is P(r)
     odd = [m.actions[lbl] for lbl in algebra.gen_labels[1:]]
-    free = SpanRREF(m.dim)
-    for _, u in preimages:
-        orbit = [u]
+    for t in _echelon(rows, reduced=False)[0]:
+        j, s = divmod(t, 2)
+        r = s if mgen % 2 == 0 else 1 - s
+        preimages.append(r)
+        # the odd words applied to u
+        orbit = [halves[r][j]]
         for x in odd:
             orbit += [x.apply(v) for v in orbit]
-        for v in orbit:
-            free.add(v)
-    if free.rank != len(preimages) * 2 ** mgen:
+        free += orbit
+    remainder, _ = quotient_module(m, free)
+    if remainder.dim != m.dim - len(preimages) * 2 ** mgen:
         raise GreenRingError("free submodule has wrong dimension")
-    summands = [principal_projective(algebra, r)[0] for r, _ in preimages]
-    remainder, _ = quotient_module(m, free.basis_vectors(), close=False)
-    return summands, remainder
+    return [principal_projective(algebra, r)[0] for r in preimages], remainder
 
 
 def decompose(m):
@@ -649,8 +611,8 @@ def _decompose_dk1(m):
     if not plus:
         return _meataxe(m)
     minus = kernel_basis(bc + ident)
-    sub_p, _ = submodule(m, plus, close=False)
-    sub_m, _ = submodule(m, minus, close=False)
+    sub_p, _ = submodule(m, plus)
+    sub_m, _ = submodule(m, minus)
     return _decompose_dk1(sub_p) + _decompose_dk1(sub_m)
 
 
@@ -708,8 +670,8 @@ def _fitting_split(m, theta):
     n = theta.power(2 ** (m.dim - 1).bit_length())
     if not 0 < n.rank() < m.dim:
         return None
-    return (submodule(m, n.dense_columns(), close=False)[0],
-            submodule(m, kernel_basis(n), close=False)[0])
+    return (submodule(m, n.col_dicts())[0],
+            submodule(m, kernel_basis(n))[0])
 
 
 def _end_radical(endos):

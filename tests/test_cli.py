@@ -99,6 +99,21 @@ def test_identify_module_with_no_label(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_identify_summand_with_no_matching_label_is_a_failure(
+        tmp_path, capsys, monkeypatch):
+    """A summand whose residue field is Q and that matches no label is a
+    verification failure (exit 1), not a module that no label names."""
+    import greenring.indec as indec
+    # a fresh object per call: no candidate's invariant equals the module's
+    monkeypatch.setattr(indec, "_parity_invariant", lambda m, kind: object())
+    path = _k2_file(tmp_path, {"K": [["1", "0"], ["0", "-1"]],
+                               "x1": ZERO2, "x2": ZERO2})
+    assert main(["identify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "matched no classified label" in err
+    assert "Traceback" not in err
+
+
 def test_identify_non_diagonal_k(tmp_path, capsys):
     path = _k2_file(tmp_path, {"K": [["1", "1"], ["0", "-1"]],
                                "x1": ZERO2, "x2": ZERO2})

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from greenring.errors import (InvalidLabel, NonSplitField, NotInR0,
-                              OutOfRange, Unclassified)
-from greenring import rep
+from greenring.errors import (InvalidLabel, NonSplitField, NoSolution,
+                              NotInR0, OutOfRange, Unclassified)
+from greenring import indec, rep
 from greenring.green import STANDARD_ETAS
 from greenring.hopf import build_km
 from greenring.indec import (EtaPoint, IndecLabel, identify, inflate_pi,
@@ -257,7 +257,7 @@ def test_decompose_k3_under_basis_change():
     a = build_km(3)
     proj = principal_projective(a, 1)[0]
     parts = [principal_projective(a, 0)[0], trivial_module(a),
-             quotient_module(proj, socle_vectors(proj), close=False)[0]]
+             quotient_module(proj, socle_vectors(proj))[0]]
     m = _scrambled(direct_sum(parts), random.Random(3))
     assert check_module(m).ok
     _check_k_eigenbasis(m)
@@ -275,6 +275,54 @@ def test_identify_dk1_with_bc_one_under_basis_change():
     assert m.actions["b"] * m.actions["c"] == RatMatrix.identity(m.dim)
     _check_k_eigenbasis(rep.dk1_as_k2_actions(m))
     assert identify(m) == labels
+
+
+@pytest.mark.parametrize("r", (0, 1))
+def test_steinberg_is_identified_with_one_certificate(r, monkeypatch):
+    """tr(rho(b) rho(a) rho(d)) is +2 on St(0) and -2 on St(1), and is
+    invariant under a basis change: it picks the one candidate."""
+    st = realize(IndecLabel.steinberg(r), "DK1")
+    m = _conjugated(st, [(0, 1, 1), (1, 0, -2)])
+    assert m.actions["a"] != st.actions["a"] and check_module(m).ok
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return is_isomorphic(a, b)
+
+    monkeypatch.setattr(indec, "is_isomorphic", counted)
+    assert identify(m) == [IndecLabel.steinberg(r)]
+    assert calls == [st]
+
+
+def test_submodule_rejects_a_span_that_is_not_a_submodule():
+    p0 = principal_projective(build_km(2), 0)[0]
+    pivots = {min(v) for v in radical_vectors(p0)}
+    (head,) = [j for j in range(p0.dim) if j not in pivots]
+    with pytest.raises(NoSolution):
+        rep.submodule(p0, [{head: Rat(1)}])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_image_submodule_and_quotient_of_an_endomorphism(seed):
+    """For theta in End(M), M a scrambled sum: im(theta) as a submodule
+    and M / im(theta), checked as maps of modules."""
+    rng = random.Random(seed)
+    labels = [rng.choice(GUARD_LABELS) for _ in range(rng.randint(2, 3))]
+    m = _scrambled(direct_sum([realize(l, "K2") for l in labels]), rng)
+    endos = rep.hom_basis(m, m).basis
+    theta = RatMatrix.zeros(m.dim, m.dim)
+    for e in endos:
+        theta = theta + e.scale(rng.randint(-2, 2))
+    sub, incl = rep.submodule(m, theta.col_dicts())
+    quot, proj = quotient_module(m, theta.col_dicts())
+    for lbl, a in m.actions.items():
+        assert incl * sub.actions[lbl] == a * incl
+        assert proj * a == quot.actions[lbl] * proj
+    assert incl.rank() == sub.dim == theta.rank()
+    assert proj.rank() == quot.dim
+    assert sub.dim + quot.dim == m.dim
+    assert (proj * incl).is_zero()
 
 
 def test_identify_reaches_the_idempotent_split(monkeypatch):

@@ -12,7 +12,8 @@ from greenring.ratlin import (ONE, Rat, RatMatrix, SpanRREF, ZERO,
                               _echelon, block_diag, in_row_space,
                               kernel_basis, kernel_dicts, kronecker_product,
                               minimal_polynomial, rat_from_str, rat_to_str,
-                              rational_roots, solve_linear, squarefree_part,
+                              rational_roots, solve_linear, span_basis,
+                              span_coordinates, squarefree_part,
                               trace_product)
 
 
@@ -40,17 +41,17 @@ def test_rank_and_kernel():
     assert a.rank() == 2
     ker = kernel_basis(a)
     assert len(ker) == 1
-    v = ker[0]
-    assert all(x == ZERO for x in a.apply(v))
+    assert ker == [{0: Rat(-1), 1: Rat(-1), 2: ONE}]
+    assert a.apply(ker[0]) == {}
 
 
 def test_solve_linear():
     a = mat([[2, 0], [0, 3]])
-    x, ker = solve_linear(a, [Rat(4), Rat(9)])
-    assert x == [Rat(2), Rat(3)]
+    x, ker = solve_linear(a, {0: Rat(4), 1: Rat(9)})
+    assert x == {0: Rat(2), 1: Rat(3)}
     assert ker == []
     with pytest.raises(NoSolution):
-        solve_linear(mat([[1, 1], [1, 1]]), [Rat(0), Rat(1)])
+        solve_linear(mat([[1, 1], [1, 1]]), {1: Rat(1)})
 
 
 def test_kronecker_and_blocks():
@@ -62,19 +63,30 @@ def test_kronecker_and_blocks():
     assert d.rows == 3 and d[2, 2] == Rat(2) and d[2, 0] == ZERO
 
 
-def test_span_rref_membership_and_coordinates():
-    span = SpanRREF(3)
-    assert span.add([ONE, ZERO, ONE])
-    assert span.add([ZERO, ONE, ONE])
-    assert not span.add([ONE, ONE, Rat(2)])
+def test_span_rref_membership_and_rank():
+    span = SpanRREF()
+    assert span.add({0: ONE, 2: ONE})
+    assert span.add({1: ONE, 2: ONE})
+    assert not span.add({0: ONE, 1: ONE, 2: Rat(2)})
+    assert not span.add({})
     assert span.rank == 2
-    coords = span.coordinates([ONE, ONE, Rat(2)])
-    basis = span.basis_vectors()
-    recon = [sum((c * b[i] for c, b in zip(coords, basis)), ZERO)
-             for i in range(3)]
-    assert recon == [ONE, ONE, Rat(2)]
+    assert span.add({0: ONE})
+    assert span.rank == 3
+
+
+def test_span_basis_and_coordinates():
+    vecs = [{0: ONE, 2: ONE}, {0: Rat(2), 1: ONE, 2: Rat(3)},
+            {1: Rat(-1), 2: Rat(-1)}]
+    basis = span_basis(vecs)
+    assert basis == [{0: ONE, 2: ONE}, {1: ONE, 2: ONE}]
+    incl = RatMatrix.from_columns(basis, 3)
+    mat = RatMatrix.from_columns([{0: ONE, 1: ONE, 2: Rat(2)}, {}, vecs[1]],
+                                 3)
+    coords = span_coordinates(incl, mat)
+    assert coords == RatMatrix.from_rows([[1, 0, 2], [1, 0, 1]])
+    assert incl * coords == mat
     with pytest.raises(NoSolution):
-        span.coordinates([ONE, ZERO, ZERO])
+        span_coordinates(incl, RatMatrix.from_columns([{0: ONE}], 3))
 
 
 small_rats = st.builds(
@@ -101,14 +113,14 @@ def test_transpose_antihomomorphism(a, b):
 @given(matrices())
 def test_kernel_vectors_annihilated(a):
     for v in kernel_basis(a):
-        assert all(x == ZERO for x in a.apply(v))
+        assert a.apply(v) == {}
     assert a.rank() + len(kernel_basis(a)) == a.cols
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices(), st.lists(small_rats, min_size=3, max_size=3))
 def test_solve_consistent_systems(a, x):
-    b = a.apply(x)
+    b = a.apply(dict(enumerate(x)))
     x0, ker = solve_linear(a, b)
     assert a.apply(x0) == b
 
@@ -277,6 +289,7 @@ def check_echelon_against_reference(rows, ncols):
     pivots, rref = reference_rref(rows, ncols)
     cols, int_rows = _echelon([dict(r) for r in rows])
     assert cols == pivots and normalized(cols, int_rows) == rref
+    assert span_basis(rows) == rref
     assert _echelon([dict(r) for r in rows], reduced=False) == (pivots, None)
     assert kernel_dicts([dict(r) for r in rows], ncols) == \
         reference_kernel(pivots, rref, ncols)
@@ -325,22 +338,19 @@ def test_solve_linear_matches_reference(system, data):
     rows, ncols = system
     a = RatMatrix.from_rows(dense_rows(rows, ncols))
     if data.draw(st.booleans()):  # consistent: b in the image of a
-        b = a.apply(data.draw(st.lists(small_rats, min_size=ncols,
-                                       max_size=ncols)))
+        b = a.apply(dict(enumerate(data.draw(
+            st.lists(small_rats, min_size=ncols, max_size=ncols)))))
     else:
-        b = data.draw(st.lists(small_rats, min_size=a.rows,
-                               max_size=a.rows))
-    aug = [{**r, ncols: bi} if bi else r for r, bi in zip(rows, b)]
+        b = {i: v for i, v in enumerate(data.draw(
+            st.lists(small_rats, min_size=a.rows, max_size=a.rows))) if v}
+    aug = [{**r, ncols: b[i]} if i in b else r for i, r in enumerate(rows)]
     pivots, rref = reference_rref(aug, ncols + 1)
     if pivots and pivots[-1] == ncols:
         with pytest.raises(NoSolution):
             solve_linear(a, b)
         return
     x, ker = solve_linear(a, b)
-    expected = [ZERO] * ncols
-    for c, row in zip(pivots, rref):
-        expected[c] = row.get(ncols, ZERO)
-    assert x == expected
+    assert x == {c: row[ncols] for c, row in zip(pivots, rref)
+                 if ncols in row}
     assert ker == kernel_basis(a)
-    assert ker == dense_rows(reference_kernel(*reference_rref(rows, ncols),
-                                              ncols), ncols)
+    assert ker == reference_kernel(*reference_rref(rows, ncols), ncols)

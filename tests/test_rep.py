@@ -80,8 +80,8 @@ def test_radical_socle_of_projective():
 def test_submodule_quotient_dims():
     p = P(0)
     rad = radical_vectors(p)
-    sub, incl = submodule(p, rad, close=False)
-    quo, proj = quotient_module(p, rad, close=False)
+    sub, incl = submodule(p, rad)
+    quo, proj = quotient_module(p, rad)
     assert sub.dim == 3 and quo.dim == 1
     assert check_module(sub).ok and check_module(quo).ok
     assert incl.rank() == 3 and proj.rank() == 1
