@@ -15,8 +15,9 @@ import re
 from .errors import (GreenRingError, InvalidLabel, NoSolution, NotInR0,
                      OutOfRange)
 from .hopf import build_dk1, build_km
-from .ratlin import (ONE, Rat, RatMatrix, ZERO, kernel_basis, rat_from_str,
-                     rat_to_str, solve_linear, span_coordinates)
+from .ratlin import (ONE, Rat, RatMatrix, ZERO, _normalized, kernel_basis,
+                     rat_from_str, rat_to_str, solve_linear,
+                     span_coordinates)
 from .rep import (ModuleRep, decompose, dk1_as_k2_actions,
                   injective_hull, is_isomorphic, k2_as_dk1_actions,
                   projective_cover, quotient_module, radical_vectors,
@@ -246,6 +247,7 @@ def _parity(text):
 
 
 _realize_cache = {}
+_parity_cache = {}  # label key -> _parity_invariant of its realization
 
 
 def realize(label, algebra="K2"):
@@ -419,8 +421,7 @@ def identify_indecomposable(m):
         # the two parities differ in an invariant: keep the one that agrees
         kind = candidates[0].kind
         inv = _parity_invariant(m, kind)
-        candidates = [l for l in candidates
-                      if _parity_invariant(realize(l, "K2"), kind) == inv]
+        candidates = [l for l in candidates if _label_parity(l) == inv]
     for lbl in candidates:
         ok, _ = is_isomorphic(m, realize(lbl, "K2"))
         if ok:
@@ -439,8 +440,17 @@ def _parity_invariant(m, kind):
     if kind != "P":
         return m.actions["K"].trace()
     x12 = _x1x2(m)
-    (i, j), v = next(iter(x12.data.items()))
-    return (m.actions["K"] * x12)[i, j] / v
+    i, j = next(iter(x12.int_form()[0]))
+    return (m.actions["K"] * x12)[i, j] / x12[i, j]
+
+
+def _label_parity(label):
+    """_parity_invariant of realize(label, "K2"), computed once per label."""
+    key = label._key()
+    if key not in _parity_cache:
+        _parity_cache[key] = _parity_invariant(realize(label, "K2"),
+                                               label.kind)
+    return _parity_cache[key]
 
 
 def _x1x2(m):
@@ -474,9 +484,9 @@ def _mtype_candidate(m):
     incl = RatMatrix.from_columns(rad, m.dim)
     pencil = []
     for lbl in ("x1", "x2"):
-        lifted = RatMatrix(m.dim, n, {(i, pos[j]): v for (i, j), v
-                                      in m.actions[lbl].data.items()
-                                      if j in pos})
+        ints, den = m.actions[lbl].int_form()
+        lifted = _normalized(m.dim, n, {(i, pos[j]): v for (i, j), v
+                                        in ints.items() if j in pos}, den)
         try:
             pencil.append(span_coordinates(incl, lifted))
         except NoSolution:

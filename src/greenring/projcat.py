@@ -11,6 +11,8 @@ quantified hom-space condition -- so each certifies the other.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import OutOfRange, ZeroMap
 from .hopf import build_km
 from .indec import IndecLabel, realize
@@ -371,12 +373,15 @@ def has_simple_image_lemma(phi, skel, i, k):
                 if not jbasis:
                     continue
                 # j = sum c_t j_t; j o psi = 0 is linear in c
+                # over one common denominator, so the rows are integers
+                comps = [(h * psi).int_form() for h, _ in jbasis]
+                den = lcm(*[d for _, d in comps])
                 rows = {}
                 ncols = len(jbasis)
-                for t_idx, (h, t) in enumerate(jbasis):
-                    comp = h * psi
-                    for (a, b), v in comp.data.items():
-                        rows.setdefault((t, a, b), {})[t_idx] = v
+                for t_idx, ((_, t), (ints, d)) in enumerate(zip(jbasis,
+                                                                 comps)):
+                    for (a, b), v in ints.items():
+                        rows.setdefault((t, a, b), {})[t_idx] = v * (den // d)
                 for coeffs in kernel_dicts(list(rows.values()), ncols):
                     jphi = None
                     for t_idx, c in coeffs.items():

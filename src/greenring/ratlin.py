@@ -6,15 +6,18 @@ rationals (`fractions.Fraction` when gmpy2 is unavailable) and all
 elimination uses deterministic pivoting -- first nonzero entry in
 row-major scan -- so kernel bases and normal forms are reproducible.
 
-Matrices are stored sparsely (dict of nonzero entries) because module
-action matrices are mostly zeros, but the public contract is the dense
-one: a rows x cols grid of rationals.  Vectors are sparse dicts
-index -> nonzero Rat.
+A matrix is stored as sparse integers over one common denominator,
+because module action matrices are mostly zeros and integer arithmetic
+is far cheaper than rational arithmetic; the public contract is the
+dense one: a rows x cols grid of rationals, made only where a caller
+reads entries.  Vectors are sparse dicts index -> nonzero Rat, and the
+elimination core takes integer rows.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
+from types import MappingProxyType
 
 from .errors import NoSolution
 
@@ -25,11 +28,6 @@ except ImportError:  # gmpy2 is an optional speed-up
 
 ZERO = Rat(0)
 ONE = Rat(1)
-
-
-def rat(p, q=1):
-    """Exact rational p/q, always in lowest terms with positive denominator."""
-    return Rat(p, q)
 
 
 def rat_from_str(s):
@@ -50,26 +48,44 @@ def rat_to_str(x):
 
 
 class RatMatrix:
-    """Dense-contract exact rational matrix with a sparse backing store.
+    """Dense-contract exact rational matrix, stored as integers over one
+    denominator.
 
-    `data` maps (i, j) -> nonzero Rat.  Mutating constructors are kept
-    module-internal; treat instances as immutable once built.
+    The store is int_form() = (ints, den): ints maps (i, j) -> nonzero int,
+    entry (i, j) is ints[i, j] / den, and den is the least common
+    denominator of the entries.  That form is canonical, so __eq__ and
+    __hash__ compare it.  All arithmetic runs on the integers; Rats are
+    made only where a caller reads entries: __getitem__, to_rows,
+    row_dicts, col_dicts and `data`, a read-only view (i, j) -> nonzero
+    Rat built from the integers on each access.  Treat instances as
+    immutable.
     """
 
-    __slots__ = ("rows", "cols", "data", "_ints")
+    __slots__ = ("rows", "cols", "_ints", "_den")
 
     def __init__(self, rows, cols, data=None):
+        """rows x cols matrix with entries data[(i, j)], Rats or ints; zero
+        entries are dropped."""
         self.rows = rows
         self.cols = cols
-        self.data = {} if data is None else data
-        self._ints = None
+        self._ints, self._den = _scaled(
+            {k: v for k, v in data.items() if v} if data else {})
 
     def int_form(self):
-        """(ints, den): data == ints / den entrywise, den the least common
-        denominator; computed once per matrix."""
-        if self._ints is None:
-            self._ints = _scaled(self.data)
-        return self._ints
+        """(ints, den), the store; callers must not modify ints."""
+        return self._ints, self._den
+
+    def int_rows(self):
+        """The rows of den * self as fresh integer dicts col -> value: the
+        same row space and kernel, and free for _echelon to consume."""
+        rows = [{} for _ in range(self.rows)]
+        for (i, j), v in self._ints.items():
+            rows[i][j] = v
+        return rows
+
+    @property
+    def data(self):
+        return MappingProxyType(_rats(self._ints, self._den))
 
     # -- constructors ------------------------------------------------
 
@@ -77,14 +93,10 @@ class RatMatrix:
     def from_rows(cls, rows_list):
         nr = len(rows_list)
         nc = len(rows_list[0]) if nr else 0
-        data = {}
-        for i, row in enumerate(rows_list):
-            if len(row) != nc:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    data[(i, j)] = _as_rat(v)
-        return cls(nr, nc, data)
+        if any(len(row) != nc for row in rows_list):
+            raise ValueError("ragged rows")
+        return cls(nr, nc, {(i, j): v for i, row in enumerate(rows_list)
+                            for j, v in enumerate(row)})
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -92,211 +104,201 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return _normalized(n, n, {(i, i): 1 for i in range(n)}, 1)
 
     @classmethod
     def diagonal(cls, entries):
-        data = {}
-        for i, v in enumerate(entries):
-            v = Rat(v)
-            if v:
-                data[(i, i)] = v
-        return cls(len(entries), len(entries), data)
+        return cls(len(entries), len(entries), {(i, i): v for i, v
+                                                in enumerate(entries)})
 
     @classmethod
     def from_columns(cls, columns, rows):
         """rows x len(columns) matrix whose j-th column is the sparse
         vector columns[j]."""
-        return cls(rows, len(columns), {(i, j): _as_rat(v)
+        return cls(rows, len(columns), {(i, j): v
                                         for j, col in enumerate(columns)
-                                        for i, v in col.items() if v})
+                                        for i, v in col.items()})
 
     # -- access ------------------------------------------------------
 
     def __getitem__(self, ij):
-        return self.data.get(ij, ZERO)
+        v = self._ints.get(ij)
+        return Rat(v, self._den) if v else ZERO
 
     def to_rows(self):
-        return [[self.data.get((i, j), ZERO) for j in range(self.cols)]
+        return [[self[i, j] for j in range(self.cols)]
                 for i in range(self.rows)]
 
     def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.data.items():
-            rows[i][j] = v
-        return rows
+        return [_rats(r, self._den) for r in self.int_rows()]
 
     def col_dicts(self):
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.data.items():
-            cols[j][i] = v
-        return cols
+        return self.transpose().row_dicts()
 
     # -- arithmetic --------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._den == other._den
+                and self._ints == other._ints)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.data.items())))
+        return hash((self.rows, self.cols, self._den,
+                     frozenset(self._ints.items())))
 
     def __add__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
-        data = dict(self.data)
-        for k, v in other.data.items():
-            nv = data.get(k, ZERO) + v
-            if nv:
-                data[k] = nv
-            else:
-                data.pop(k, None)
-        return RatMatrix(self.rows, self.cols, data)
+        return _placed(self.rows, self.cols, [(self, 0, 0), (other, 0, 0)])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RatMatrix(self.rows, self.cols,
-                         {k: -v for k, v in self.data.items()})
+        return _normalized(self.rows, self.cols,
+                           {k: -v for k, v in self._ints.items()}, self._den)
 
     def scale(self, c):
-        if c == 1:
+        p, q = c.numerator, c.denominator  # c is a Rat or an int
+        if p == q:
             return self
-        c = Rat(c)
-        if not c:
-            return RatMatrix.zeros(self.rows, self.cols)
-        return RatMatrix(self.rows, self.cols,
-                         {k: c * v for k, v in self.data.items()})
+        return _normalized(self.rows, self.cols,
+                           {k: p * v for k, v in self._ints.items()},
+                           q * self._den)
 
     def __mul__(self, other):
         """Matrix product (or scalar multiple for non-matrix operands)."""
         if not isinstance(other, RatMatrix):
             return self.scale(other)
         assert self.cols == other.rows, "shape mismatch"
-        # integer products over the common denominators, one Rat per entry
-        a, da = self.int_form()
-        b, db = other.int_form()
-        rows_b = [{} for _ in range(other.rows)]
-        for (k, j), w in b.items():
-            rows_b[k][j] = w
+        rows_b = other.int_rows()
         acc = {}
-        for (i, k), v in a.items():
+        for (i, k), v in self._ints.items():
             for j, w in rows_b[k].items():
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + v * w
-        acc = {k: v for k, v in acc.items() if v}
-        den = da * db
-        g = gcd(den, *acc.values())
-        if g != 1:
-            acc = {k: v // g for k, v in acc.items()}
-            den //= g
-        out = RatMatrix(self.rows, other.cols, _rats(acc, den))
-        out._ints = (acc, den)
-        return out
+        return _normalized(self.rows, other.cols, acc,
+                           self._den * other._den)
 
     __rmul__ = scale
 
     def apply(self, vec):
         """Matrix-vector product of sparse vectors (dicts index -> Rat)."""
+        x, den = _scaled(vec)
         out = {}
-        for (i, j), v in self.data.items():
-            w = vec.get(j)
+        for (i, j), v in self._ints.items():
+            w = x.get(j)
             if w:
-                out[i] = out.get(i, ZERO) + v * w
-        return {i: v for i, v in out.items() if v}
+                out[i] = out.get(i, 0) + v * w
+        den *= self._den
+        return {i: Rat(v, den) for i, v in out.items() if v}
 
     def transpose(self):
-        return RatMatrix(self.cols, self.rows,
-                         {(j, i): v for (i, j), v in self.data.items()})
+        return _normalized(self.cols, self.rows, {
+            (j, i): v for (i, j), v in self._ints.items()}, self._den)
 
     def trace(self):
-        return sum((v for (i, j), v in self.data.items() if i == j), ZERO)
+        return Rat(sum(v for (i, j), v in self._ints.items() if i == j),
+                   self._den)
 
     def is_zero(self):
-        return not self.data
+        return not self._ints
 
     def power(self, n):
         assert self.rows == self.cols
-        result = RatMatrix.identity(self.rows)
-        base = self
+        result, base = RatMatrix.identity(self.rows), self
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return result
 
     def rank(self):
-        return len(_echelon(self.row_dicts(), reduced=False)[0])
-
-    def kron(self, other):
-        return kronecker_product(self, other)
+        return len(_echelon(self.int_rows(), reduced=False)[0])
 
     def hstack(self, other):
         assert self.rows == other.rows
-        data = dict(self.data)
-        for (i, j), v in other.data.items():
-            data[(i, j + self.cols)] = v
-        return RatMatrix(self.rows, self.cols + other.cols, data)
+        return _placed(self.rows, self.cols + other.cols,
+                       [(self, 0, 0), (other, 0, self.cols)])
 
     def __repr__(self):
         if self.rows * self.cols <= 64:
-            body = "; ".join(
-                " ".join(rat_to_str(self.data.get((i, j), ZERO))
-                         for j in range(self.cols))
-                for i in range(self.rows))
+            body = "; ".join(" ".join(rat_to_str(v) for v in row)
+                             for row in self.to_rows())
             return f"RatMatrix({self.rows}x{self.cols}: {body})"
-        return f"RatMatrix({self.rows}x{self.cols}, nnz={len(self.data)})"
+        return f"RatMatrix({self.rows}x{self.cols}, nnz={len(self._ints)})"
+
+
+def _normalized(rows, cols, ints, den):
+    """The RatMatrix ints / den (den > 0) in canonical form: zero entries
+    dropped and the gcd of den and the entries divided out."""
+    ints = {k: v for k, v in ints.items() if v}
+    g = gcd(den, *ints.values())
+    if g != 1:
+        ints = {k: v // g for k, v in ints.items()}
+        den //= g
+    m = object.__new__(RatMatrix)
+    m.rows, m.cols, m._ints, m._den = rows, cols, ints, den
+    return m
+
+
+def _placed(rows, cols, blocks):
+    """The rows x cols sum of the matrices m of blocks, each placed with
+    its (0, 0) entry at (r, c), for (m, r, c) in blocks."""
+    den = lcm(*[m._den for m, _, _ in blocks])
+    ints = {}
+    for m, r, c in blocks:
+        f = den // m._den
+        for (i, j), v in m._ints.items():
+            key = (i + r, j + c)
+            ints[key] = ints.get(key, 0) + f * v
+    return _normalized(rows, cols, ints, den)
 
 
 def block_diag(mats):
     """Block-diagonal matrix from a list of RatMatrix."""
-    r = c = 0
-    data = {}
+    blocks, r, c = [], 0, 0
     for m in mats:
-        for (i, j), v in m.data.items():
-            data[(r + i, c + j)] = v
+        blocks.append((m, r, c))
         r += m.rows
         c += m.cols
-    return RatMatrix(r, c, data)
+    return _placed(r, c, blocks)
 
 
 def kronecker_product(a, b):
     """(A kron B)[(i*rowsB+k), (j*colsB+l)] = A[i,j] * B[k,l]."""
-    data = {}
     rb, cb = b.rows, b.cols
-    for (i, j), v in a.data.items():
-        for (k, l), w in b.data.items():
-            data[(i * rb + k, j * cb + l)] = v * w
-    return RatMatrix(a.rows * rb, a.cols * cb, data)
+    return _normalized(a.rows * rb, a.cols * cb, {
+        (i * rb + k, j * cb + l): v * w
+        for (i, j), v in a._ints.items() for (k, l), w in b._ints.items()},
+        a._den * b._den)
 
 
 def trace_product(a, b):
     """tr(A B) = sum of A[i,j] B[j,i], without forming the product."""
     assert a.cols == b.rows and a.rows == b.cols, "shape mismatch"
-    if len(a.data) > len(b.data):
-        a, b = b, a  # tr(A B) = tr(B A): scan the sparser factor
-    bd = b.data
-    total = ZERO
-    for (i, j), v in a.data.items():
-        w = bd.get((j, i))
-        if w is not None:
-            total += v * w
-    return total
+    (ai, da), (bi, db) = a.int_form(), b.int_form()
+    if len(ai) > len(bi):
+        ai, bi = bi, ai  # tr(A B) = tr(B A): scan the sparser factor
+    return Rat(sum(v * bi[j, i] for (i, j), v in ai.items()
+                   if (j, i) in bi), da * db)
 
 
 # -- elimination core ------------------------------------------------
 #
 # Elimination is fraction-free in the sense of Bareiss (Math. Comp. 22,
 # 1968): rows are integer rows, kept primitive by dividing out their gcd
-# where Bareiss divides exactly by the previous pivot, and only the
-# normalized output is turned back into rationals.  Rows are
-# dicts col -> nonzero value.  Pivot choice: rows are consumed in the
-# given order and each pivots on its leftmost surviving column, which
-# realizes the "first nonzero entry by row-major scan" rule.  A reduced
-# echelon form is unique, so the output equals that of elimination over Q.
+# where Bareiss divides exactly by the previous pivot.  _echelon takes
+# integer rows -- dicts col -> nonzero int -- and consumes them: it pops
+# their entries and may return them as pivot rows, so a caller passes
+# fresh dicts, never a matrix's stored ints.  A RatMatrix gives them as
+# int_rows() (den times its rows: same row space and kernel), hom_rows
+# builds them, and a caller that holds Rat vectors scales each once.
+# Pivot choice: rows are consumed in the given order and each pivots on
+# its leftmost surviving column, which realizes the "first nonzero entry
+# by row-major scan" rule.  A reduced echelon form is unique, so the
+# output equals that of elimination over Q.
 #
 # The forward pass first takes out forced zeros.  A one-entry row says
 # its unknown is zero, so that column becomes the pivot {c: 1} and is
@@ -334,10 +336,11 @@ _INT = {int}
 def _scaled(entries):
     """(ints, den) with entries == ints / den, den the lcm of denominators.
 
-    entries is a dict of Rat (or int) values; ints has the same keys.
+    entries is a dict of Rat (or int) values; ints is a new dict with the
+    same keys.
     """
     if _INT.issuperset(map(type, entries.values())):
-        return dict(entries), 1  # already integers, as hom systems are
+        return dict(entries), 1
     den = lcm(*[v.denominator for v in entries.values()])
     if den == 1:
         return {k: v.numerator for k, v in entries.items()}, 1
@@ -412,7 +415,8 @@ def _forced_zeros(rows, pivots):
 
 
 def _echelon(rows, reduced=True):
-    """Reduced row echelon form of a list of sparse rows.
+    """Reduced row echelon form of a list of sparse integer rows, which it
+    consumes (see the elimination-core comment above).
 
     Returns (pivot_cols, pivot_rows): parallel lists, pivot_cols ascending,
     each pivot row a primitive integer row, positive at its pivot and zero
@@ -421,7 +425,7 @@ def _echelon(rows, reduced=True):
     which is all a rank or a membership test needs.
     """
     pivots = {}  # col -> primitive integer row, positive at col
-    rows = _forced_zeros([_scaled(r)[0] for r in rows], pivots)
+    rows = _forced_zeros(rows, pivots)
     # Process the sparsest rows first: cheap, and it keeps fill-in low.
     for r in sorted(rows, key=len):
         while r:
@@ -463,7 +467,8 @@ def _rref_kernel(pivot_cols, pivot_rows, ncols):
 
 
 def in_row_space(rows, vec, ncols):
-    """Is the sparse row vec in the span of the sparse rows?
+    """Is the sparse integer row vec in the span of the sparse integer rows
+    (which are consumed)?
 
     All columns lie below ncols.  Runs the forward pass only (see the
     elimination-core comment above).
@@ -474,8 +479,8 @@ def in_row_space(rows, vec, ncols):
 
 
 def kernel_dicts(rows, ncols):
-    """Kernel basis of the linear system given by sparse rows, as sparse
-    dicts: one per free column in ascending order, each with entry 1 at
+    """Kernel basis of the linear system given by sparse integer rows (which
+    are consumed), as sparse Rat dicts: one per free column in ascending order, each with entry 1 at
     its free column -- the reduced echelon normal form of the kernel."""
     return _rref_kernel(*_echelon(rows), ncols)
 
@@ -483,7 +488,7 @@ def kernel_dicts(rows, ncols):
 def kernel_basis(a):
     """Basis of the right null space of a RatMatrix, in normal form, as
     sparse vectors."""
-    return kernel_dicts(a.row_dicts(), a.cols)
+    return kernel_dicts(a.int_rows(), a.cols)
 
 
 def span_basis(vectors):
@@ -491,16 +496,18 @@ def span_basis(vectors):
     pivot order, each 1 at its pivot (its least index) and 0 at the other
     pivots.  A reduced echelon form is unique, so the basis depends only on
     the span."""
-    return [_rats(r, r[c]) for c, r in zip(*_echelon(vectors))]
+    return [_rats(r, r[c])
+            for c, r in zip(*_echelon([_scaled(v)[0] for v in vectors]))]
 
 
 def span_coordinates(incl, mat):
     """X with incl X = mat, for incl a matrix whose columns are a
     span_basis: X is mat's rows at the pivots of those columns.  Raises
     NoSolution when a column of mat is outside their span."""
-    pos = {min(col): k for k, col in enumerate(incl.col_dicts())}
-    coords = RatMatrix(incl.cols, mat.cols, {(pos[i], j): v for (i, j), v
-                                             in mat.data.items() if i in pos})
+    pos = {min(col): k for k, col in enumerate(incl.transpose().int_rows())}
+    ints, den = mat.int_form()
+    coords = _normalized(incl.cols, mat.cols, {
+        (pos[i], j): v for (i, j), v in ints.items() if i in pos}, den)
     if incl * coords != mat:
         raise NoSolution("a column is outside the span")
     return coords
@@ -512,14 +519,17 @@ def solve_linear(a, b):
 
     Raises NoSolution when b is not in the image of A.
     """
-    rows = a.row_dicts()
+    rows = a.int_rows()  # den_a A
     aug = a.cols  # column index used for the right-hand side
+    b, den_b = _scaled(b)  # den_b b
     for i, bi in b.items():
         rows[i][aug] = bi
     pivot_cols, pivot_rows = _echelon(rows)
     if aug in pivot_cols:
         raise NoSolution("rhs not in the image")
-    x = {c: Rat(row[aug], row[c])
+    # the rows solve den_a A y = den_b b, so x = (den_a / den_b) y
+    den_a = a.int_form()[1]
+    x = {c: Rat(row[aug] * den_a, row[c] * den_b)
          for c, row in zip(pivot_cols, pivot_rows) if aug in row}
     # aug is no pivot, so the rows without their aug entries are the
     # reduced echelon form of A itself
@@ -563,10 +573,6 @@ class SpanRREF:
         return len(self.pivots)
 
 
-def _as_rat(v):
-    return v if type(v) is Rat else Rat(v)
-
-
 # -- polynomials over Q ----------------------------------------------
 #
 # A polynomial is a list of Rat coefficients, lowest degree first, whose
@@ -584,12 +590,16 @@ def minimal_polynomial(a):
     n = a.rows
     span = SpanRREF()
     powers = [RatMatrix.identity(n)]
-    while span.add({i * n + j: v for (i, j), v in powers[-1].data.items()}):
+    while span.add({i * n + j: v for (i, j), v
+                    in powers[-1].int_form()[0].items()}):
         powers.append(powers[-1] * a)
+    # the power columns over one common denominator: the same kernel
+    den = lcm(*[p.int_form()[1] for p in powers])
     rows = {}
     for k, p in enumerate(powers):
-        for ij, v in p.data.items():
-            rows.setdefault(ij, {})[k] = v
+        ints, d = p.int_form()
+        for ij, v in ints.items():
+            rows.setdefault(ij, {})[k] = v * (den // d)
     (rel,) = kernel_dicts(list(rows.values()), len(powers))
     return [rel.get(k, ZERO) for k in range(len(powers))]
 

@@ -32,11 +32,11 @@ from math import lcm
 from .errors import (AlgebraMismatch, GreenRingError, InvalidModule,
                      NonSplitField, OutOfRange, Unclassified)
 from .hopf import build_km, get_algebra, jacobson_radical
-from .ratlin import (ONE, Rat, RatMatrix, _echelon, block_diag,
-                     kernel_basis, kernel_dicts, kronecker_product,
-                     minimal_polynomial, rat_from_str, rat_to_str,
-                     rational_roots, span_basis, span_coordinates,
-                     squarefree_part)
+from .ratlin import (ONE, Rat, RatMatrix, _echelon, _normalized,
+                     block_diag, kernel_basis, kernel_dicts,
+                     kronecker_product, minimal_polynomial, rat_from_str,
+                     rat_to_str, rational_roots, span_basis,
+                     span_coordinates, squarefree_part)
 
 _radical_cache = {}
 
@@ -311,15 +311,15 @@ def hom_basis(m, n):
 
 def radical_vectors(m):
     """Basis of rad(M) = J(A).M, as a span_basis."""
-    return span_basis([col for jvec in algebra_radical(m.algebra)
-                       for col in m.elem_action(jvec).col_dicts()])
+    return span_basis([col for jvec in algebra_radical(m.algebra) for col
+                       in m.elem_action(jvec).transpose().int_rows()])
 
 
 def socle_vectors(m):
     """Basis of soc(M) = {v : J(A).v = 0}."""
     rows = []
     for jvec in algebra_radical(m.algebra):
-        rows.extend(m.elem_action(jvec).row_dicts())
+        rows.extend(m.elem_action(jvec).int_rows())
     return kernel_dicts(rows, m.dim)
 
 
@@ -360,10 +360,9 @@ def quotient_module(m, vectors):
     proj = RatMatrix(d, m.dim, data)
     actions = {}
     for lbl, _ in m.algebra.generators:
-        image = proj * m.actions[lbl]
-        actions[lbl] = RatMatrix(d, d, {(i, pos[j]): v
-                                        for (i, j), v in image.data.items()
-                                        if j in pos})
+        ints, den = (proj * m.actions[lbl]).int_form()
+        actions[lbl] = _normalized(d, d, {(i, pos[j]): v for (i, j), v
+                                          in ints.items() if j in pos}, den)
     return ModuleRep(m.algebra, d, actions), proj
 
 
@@ -425,9 +424,7 @@ def _k_halves(k_act):
 def _k_eigen_split(mat, dim):
     """Eigenvectors of an involution matrix, as (plus_basis, minus_basis)."""
     ident = RatMatrix.identity(dim)
-    plus = kernel_basis(mat - ident)
-    minus = kernel_basis(mat + ident)
-    return plus, minus
+    return kernel_basis(mat - ident), kernel_basis(mat + ident)
 
 
 def _k_eigenbasis(m):
@@ -441,7 +438,7 @@ def _k_eigenbasis(m):
     P^-1 are rows of (I + K)/2 and (I - K)/2: no elimination is needed.
     """
     k_act = m.actions["K"]
-    if all(i == j for i, j in k_act.data):
+    if all(i == j for i, j in k_act.int_form()[0]):
         return m
     plus, minus = _k_eigen_split(k_act, m.dim)
     if len(plus) + len(minus) != m.dim:
@@ -544,47 +541,37 @@ def _top_word_index(algebra):
 
 
 def _peel_projectives(m):
-    """Split off the free part of a K-type module.
+    """Split off the free part of a K-type module whose K is diagonal.
 
     Returns (projective_summands, remainder_module): one canonical P(r)
     per free summand, and the quotient by the free part; valid because
     the algebra is self-injective, so the generated free submodule
     splits off.
 
-    The K-eigencomponents of im(top) are the columns of (top +- K.top)/2.
-    As K.top = (-1)^m top.K, column j has the preimage
-    u = (e_j +- (-1)^m K e_j)/2, a K-eigenvector, so A.u is P(0) when
-    K u = u and P(1) when K u = -u; u is column j of (I +- K)/2.  One u
-    is taken per pivot column of the components, in the order j, then the
-    sign: that picks each column that is independent of the ones before it.
+    decompose moves M to a K-eigenbasis first; a K that is not diagonal
+    raises GreenRingError.  Then each e_j is a K-eigenvector, and A.e_j is
+    free -- P(0) when K e_j = e_j, P(1) when K e_j = -e_j -- exactly when
+    column j of top is nonzero: the preimage of pivot column j of top is
+    e_j.  One e_j is taken per pivot column of top, which picks each
+    column that is independent of the ones before it.
     """
     algebra = m.algebra
-    mgen = len(algebra.gen_labels) - 1
+    k_act = m.actions["K"]
+    if any(i != j for i, j in k_act.int_form()[0]):
+        raise GreenRingError("the projective peel needs a diagonal K")
     top = m.word_action(_top_word_index(algebra))
     if top.is_zero():
         return [], m
-    k_top = m.actions["K"] * top
-    rows = [{} for _ in range(m.dim)]  # column 2j + s: component s of j
-    for s, comp in enumerate((top + k_top, top - k_top)):
-        for (i, j), v in comp.data.items():
-            rows[i][2 * j + s] = v
-    halves = [h.col_dicts() for h in _k_halves(m.actions["K"])]
-    free = []  # spans the free part: A.u for each preimage u
-    preimages = []  # r: A.u is P(r)
-    odd = [m.actions[lbl] for lbl in algebra.gen_labels[1:]]
-    for t in _echelon(rows, reduced=False)[0]:
-        j, s = divmod(t, 2)
-        r = s if mgen % 2 == 0 else 1 - s
-        preimages.append(r)
-        # the odd words applied to u
-        orbit = [halves[r][j]]
-        for x in odd:
-            orbit += [x.apply(v) for v in orbit]
-        free += orbit
-    remainder, _ = quotient_module(m, free)
-    if remainder.dim != m.dim - len(preimages) * 2 ** mgen:
+    # the columns of the odd words, x-words with no K, span each A.e_j
+    odd = [m.word_action(k).transpose().int_rows()
+           for k, word in enumerate(algebra.words) if 0 not in word]
+    pivots = _echelon(top.int_rows(), reduced=False)[0]
+    remainder, _ = quotient_module(m, [cols[j] for j in pivots
+                                       for cols in odd])
+    if remainder.dim != m.dim - len(pivots) * len(odd):
         raise GreenRingError("free submodule has wrong dimension")
-    return [principal_projective(algebra, r)[0] for r in preimages], remainder
+    return [principal_projective(algebra, 0 if k_act[j, j] > 0 else 1)[0]
+            for j in pivots], remainder
 
 
 def decompose(m):
@@ -670,7 +657,7 @@ def _fitting_split(m, theta):
     n = theta.power(2 ** (m.dim - 1).bit_length())
     if not 0 < n.rank() < m.dim:
         return None
-    return (submodule(m, n.col_dicts())[0],
+    return (submodule(m, n.transpose().int_rows())[0],
             submodule(m, kernel_basis(n))[0])
 
 

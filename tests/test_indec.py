@@ -17,6 +17,7 @@ from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
                            dual, is_isomorphic, principal_projective,
                            quotient_module, radical_vectors, socle_vectors,
                            tensor, trivial_module)
+from greenring.verify import _k2_labels
 
 
 def test_label_parse_roundtrip():
@@ -403,3 +404,22 @@ def test_identify_cannot_certify_a_residue_field_of_degree_4():
     with pytest.raises(NonSplitField, match="too large"):
         identify(_band([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0],
                         [0, 0, 1, 0]]))
+
+
+def test_label_parity_is_computed_once_per_label(monkeypatch):
+    """The parity invariant of each candidate label is stored once: for
+    every label of the criterion-02 sweep, the stored value equals a fresh
+    _parity_invariant of its realization, and later lookups reuse it."""
+    sweep = _k2_labels(4, 0, []) + _k2_labels(0, 4, STANDARD_ETAS[3:5])
+    monkeypatch.setattr(indec, "_parity_cache", {})
+    for lbl in sweep:
+        stored = indec._label_parity(lbl)
+        assert indec._parity_cache[lbl._key()] == stored
+        assert stored == indec._parity_invariant(realize(lbl, "K2"), lbl.kind)
+
+    def recompute(m, kind):
+        raise AssertionError("the invariant was computed again")
+
+    monkeypatch.setattr(indec, "_parity_invariant", recompute)
+    for lbl in sweep:
+        assert indec._label_parity(lbl) == indec._parity_cache[lbl._key()]

@@ -1,7 +1,7 @@
 """Exact linear algebra layer."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +250,16 @@ def sparse_systems(draw):
     return rows, ncols
 
 
+def integer_rows(rows):
+    """Each Rat row times the lcm of its denominators: fresh integer rows
+    with the same row space and kernel, as _echelon takes them."""
+    out = []
+    for r in rows:
+        den = lcm(*[Fraction(v).denominator for v in r.values()])
+        out.append({k: int(v * den) for k, v in r.items()})
+    return out
+
+
 def dense_rows(rows, ncols):
     return [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
 
@@ -287,11 +297,11 @@ def normalized(cols, int_rows):
 
 def check_echelon_against_reference(rows, ncols):
     pivots, rref = reference_rref(rows, ncols)
-    cols, int_rows = _echelon([dict(r) for r in rows])
+    cols, int_rows = _echelon(integer_rows(rows))
     assert cols == pivots and normalized(cols, int_rows) == rref
     assert span_basis(rows) == rref
-    assert _echelon([dict(r) for r in rows], reduced=False) == (pivots, None)
-    assert kernel_dicts([dict(r) for r in rows], ncols) == \
+    assert _echelon(integer_rows(rows), reduced=False) == (pivots, None)
+    assert kernel_dicts(integer_rows(rows), ncols) == \
         reference_kernel(pivots, rref, ncols)
 
 
@@ -326,8 +336,9 @@ def test_in_row_space_matches_reference_rank(system, data):
     vec = {k: v for k, v in vec.items() if v}
     rank = len(reference_rref(rows, ncols)[0])
     expected = len(reference_rref(rows + [vec], ncols)[0]) == rank
-    assert in_row_space([dict(r) for r in rows], vec, ncols) == expected
-    assert in_row_space([dict(r) for r in rows], {}, ncols)
+    (int_vec,) = integer_rows([vec])
+    assert in_row_space(integer_rows(rows), int_vec, ncols) == expected
+    assert in_row_space(integer_rows(rows), {}, ncols)
     assert in_row_space([], {}, ncols)
     assert in_row_space([], {}, 0)
 
@@ -354,3 +365,111 @@ def test_solve_linear_matches_reference(system, data):
                  if ncols in row}
     assert ker == kernel_basis(a)
     assert ker == reference_kernel(*reference_rref(rows, ncols), ncols)
+
+
+# -- the integer store against a dense Fraction reference -------------
+
+
+def assert_canonical(m):
+    """(ints, den) holds no zero ints, lies inside the shape, and den is
+    the least common denominator of the entries."""
+    ints, den = m.int_form()
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v for v in ints.values())
+    assert all(0 <= i < m.rows and 0 <= j < m.cols for i, j in ints)
+    assert den == lcm(*[Fraction(v, den).denominator for v in ints.values()])
+
+
+def assert_dense(m, ref):
+    """m is canonical and equals the dense Fraction grid ref, read through
+    data, to_rows and __getitem__, each giving Rat values."""
+    assert_canonical(m)
+    assert (m.rows, m.cols) == (len(ref), len(ref[0]) if ref else m.cols)
+    rows = m.to_rows()
+    assert rows == ref
+    assert all(type(v) is Rat for row in rows for v in row)
+    assert all(type(m[i, j]) is Rat and m[i, j] == ref[i][j]
+               for i in range(m.rows) for j in range(m.cols))
+    assert dict(m.data) == {(i, j): v for i, row in enumerate(ref)
+                            for j, v in enumerate(row) if v}
+    assert all(type(v) is Rat for v in m.data.values())
+
+
+sparse_rats = st.one_of(st.just(ZERO), st.just(ZERO), small_rats)
+
+
+def grids(rows, cols):
+    return st.lists(st.lists(sparse_rats, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def from_grid(grid, cols):
+    return RatMatrix(len(grid), cols, {(i, j): v for i, row in enumerate(grid)
+                                       for j, v in enumerate(row)})
+
+
+def ref_mul(a, b, inner):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), ZERO)
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_store_matches_dense_reference(data):
+    r, k, c = (data.draw(st.integers(min_value=1, max_value=3))
+               for _ in range(3))
+    ga, gc = data.draw(grids(r, k)), data.draw(grids(r, k))
+    gb = data.draw(grids(k, c))
+    a, other, b = from_grid(ga, k), from_grid(gc, k), from_grid(gb, c)
+    for m, g in ((a, ga), (other, gc), (b, gb)):
+        assert_dense(m, g)
+        assert m == RatMatrix.from_rows(g) and m.is_zero() == (not any(
+            any(row) for row in g))
+    assert_dense(a + other, [[x + y for x, y in zip(p, q)]
+                             for p, q in zip(ga, gc)])
+    assert_dense(a - other, [[x - y for x, y in zip(p, q)]
+                             for p, q in zip(ga, gc)])
+    assert_dense(-a, [[-x for x in row] for row in ga])
+    assert_dense(a * b, ref_mul(ga, gb, k))
+    assert_dense(a.transpose(), [list(col) for col in zip(*ga)])
+    assert_dense(a.hstack(other), [p + q for p, q in zip(ga, gc)])
+    assert_dense(block_diag([a, b]),
+                 [row + [ZERO] * c for row in ga]
+                 + [[ZERO] * k + row for row in gb])
+    assert_dense(kronecker_product(a, b),
+                 [[ga[i][j] * gb[p][q] for j in range(k) for q in range(c)]
+                  for i in range(r) for p in range(k)])
+    for s in (ZERO, ONE, Rat(-3, 7), data.draw(small_rats)):
+        assert_dense(a.scale(s), [[s * x for x in row] for row in ga])
+    vec = {j: v for j, v in enumerate(data.draw(grids(1, k))[0]) if v}
+    out = a.apply(vec)
+    assert all(type(v) is Rat and v for v in out.values())
+    assert out == {i: v for i, v in enumerate(
+        sum((row[j] * x for j, x in vec.items()), ZERO) for row in ga) if v}
+    gs = data.draw(grids(k, k))
+    sq = from_grid(gs, k)
+    assert type(sq.trace()) is Rat
+    assert sq.trace() == sum((gs[i][i] for i in range(k)), ZERO)
+    power = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+    for n in range(5):
+        assert_dense(sq.power(n), power)
+        power = ref_mul(power, gs, k)
+    rank = len(reference_rref([dict(enumerate(row)) for row in ga], k)[0])
+    assert a.rank() == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids(3, 3), grids(3, 3), small_rats.filter(bool))
+def test_equal_matrices_hash_equal(ga, gc, s):
+    """Arithmetic lands on the same canonical form as from_rows, so equal
+    matrices hash equal however they were made."""
+    a, c = RatMatrix.from_rows(ga), RatMatrix.from_rows(gc)
+    first_three = RatMatrix(6, 3, {(i, i): 1 for i in range(3)})
+    for b in ((a + c) - c, a.scale(s).scale(1 / s), a * RatMatrix.identity(3),
+              a.transpose().transpose(), -(-a), a.hstack(c) * first_three):
+        assert_canonical(b)
+        assert b == a and hash(b) == hash(a)
+        assert b.int_form() == a.int_form()
+    z = a - a
+    assert z.is_zero() and z == RatMatrix.zeros(3, 3)
+    assert z.int_form() == ({}, 1) and hash(z) == hash(RatMatrix.zeros(3, 3))

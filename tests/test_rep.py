@@ -1,14 +1,20 @@
 """Module operations: tensor, dual, hom, covers, decomposition."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenring import rep
 from greenring.errors import GreenRingError
+from greenring.green import STANDARD_ETAS, green_mul_labels
 from greenring.hopf import build_dk1, build_km
+from greenring.ideal import is_negligible
 from greenring.indec import EtaPoint, IndecLabel, identify, realize
-from greenring.ratlin import Rat, RatMatrix
+from greenring.ratlin import (Rat, RatMatrix, kernel_basis, solve_linear,
+                              span_basis, span_coordinates)
+from greenring.verify import _k2_labels
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
                            dual, hom_basis, injective_hull, is_isomorphic,
                            projective_cover, quotient_module, radical_vectors,
@@ -177,3 +183,95 @@ def test_non_involutive_k_is_an_error():
     assert not check_module(m).ok
     with pytest.raises(GreenRingError, match="involution"):
         identify(m)
+
+
+# -- the projective peel in a K-eigenbasis ----------------------------
+
+
+def _basis_changed(m, rng):
+    """M with actions g A g^-1 for g a seeded product of elementary
+    matrices I + c E_ij, so its K is no longer diagonal."""
+    n = m.dim
+    ident = RatMatrix.identity(n)
+    g, g_inv = ident, ident
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        g = g * RatMatrix(n, n, {**ident.data, (i, j): Rat(c)})
+        g_inv = RatMatrix(n, n, {**ident.data, (i, j): Rat(-c)}) * g_inv
+    return ModuleRep(m.algebra, n, {lbl: g * a * g_inv
+                                    for lbl, a in m.actions.items()})
+
+
+def _fusion_pairs_by_dim():
+    """The 1296 products of the fusion sweep, sorted by dimension."""
+    sweep = _k2_labels(4, 0, []) + _k2_labels(0, 4, STANDARD_ETAS[3:5])
+    return sorted(((a, b) for a in sweep for b in sweep),
+                  key=lambda ab: ab[0].dim() * ab[1].dim())
+
+
+def test_peel_splits_off_the_closed_form_projectives():
+    """A stratified sample of the fusion sweep, each product in a
+    scrambled basis and then moved to its K-eigenbasis: the peel returns
+    the closed form's P(0)s and P(1)s, and a remainder of the rest."""
+    pairs = _fusion_pairs_by_dim()
+    rng = random.Random(7)
+    for a, b in pairs[::12]:
+        m = tensor(realize(a, "K2"), realize(b, "K2"))
+        e = rep._k_eigenbasis(_basis_changed(m, rng))
+        assert all(i == j for i, j in e.actions["K"].int_form()[0])
+        projs, rest = rep._peel_projectives(e)
+        closed = green_mul_labels(a, b).coeffs
+        for r in (0, 1):
+            assert sum(p is P(r) for p in projs) == closed.get(
+                IndecLabel.proj(r), 0), (a, b, r)
+        assert len(projs) == sum(c for l, c in closed.items()
+                                 if l.kind == "P")
+        assert rest.dim == m.dim - 4 * len(projs)
+        assert check_module(rest).ok
+
+
+def test_peel_needs_a_diagonal_k():
+    m = _basis_changed(tensor(P(0), V(1)), random.Random(3))
+    assert any(i != j for i, j in m.actions["K"].int_form()[0])
+    with pytest.raises(GreenRingError, match="diagonal K"):
+        rep._peel_projectives(m)
+    # decompose moves M to a K-eigenbasis first, so it peels the same P
+    parts = decompose(m)
+    assert len(parts) == 1 and is_isomorphic(parts[0], P(1))[0]
+
+
+# -- elimination never writes to a matrix's integer store -------------
+
+
+def _snapshot(mats):
+    return [(dict(m.int_form()[0]), m.int_form()[1], m.to_rows(),
+             m.int_rows()) for m in mats]
+
+
+def test_elimination_leaves_input_matrices_unchanged():
+    """_echelon consumes its rows, so every caller hands it fresh dicts:
+    after each call, and after a second identical call, the inputs' int
+    forms, entries and int rows are what they were before."""
+    a = RatMatrix.from_rows([[1, Rat(1, 2), 0], [2, 1, 0], [0, Rat(3, 4), 5]])
+    incl = RatMatrix.from_columns(span_basis([{0: 1, 2: 2}, {1: 3}]), 3)
+    mat = incl * RatMatrix.from_rows([[Rat(1, 3), 2], [0, Rat(-5, 2)]])
+    m = _basis_changed(direct_sum([P(0), V(1), realize(
+        IndecLabel.syz_pos(1, 0), "K2")]), random.Random(5))
+    n = tensor(V(1), realize(IndecLabel.syz_neg(1, 1), "K2"))
+    mods = list(m.actions.values()) + list(n.actions.values())
+    calls = [
+        (lambda: a.rank(), [a]),
+        (lambda: kernel_basis(a), [a]),
+        (lambda: solve_linear(a, a.apply({0: Rat(1, 3), 2: Rat(2)})), [a]),
+        (lambda: span_coordinates(incl, mat), [incl, mat]),
+        (lambda: [t.int_form() for t in hom_basis(m, n)], mods),
+        (lambda: is_negligible(n), mods),
+        (lambda: [len(s.actions) and s.dim for s in decompose(m)], mods),
+    ]
+    for call, mats in calls:
+        before = _snapshot(mats)
+        first = call()
+        assert _snapshot(mats) == before
+        assert call() == first
+        assert _snapshot(mats) == before
