@@ -237,10 +237,6 @@ def green_mul_oracle(a, b, algebra="K2"):
 # presentation verification
 
 
-def _glabel(name, *args):
-    return GreenElement.from_label(IndecLabel.parse(name.format(*args)))
-
-
 STANDARD_ETAS = (EtaPoint.finite(0), EtaPoint.finite(1), EtaPoint.finite(-1),
                  EtaPoint.finite(2, 3), EtaPoint.finite(5, 7),
                  EtaPoint.infinity())

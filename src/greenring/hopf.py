@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import OutOfRange
-from .ratlin import ONE, Rat, RatMatrix, ZERO, kernel_basis, rat_to_str
+from .ratlin import ONE, RatMatrix, ZERO, kernel_basis
 
 # ---------------------------------------------------------------------
 # rewriting
@@ -161,27 +161,6 @@ class HopfAlgebraData:
                 t += ci * self.mult[(i, w)].get(w, ZERO)
         return t
 
-    def to_json_dict(self):
-        dense_mult = [[[rat_to_str(self.mult[(i, j)].get(k, ZERO))
-                        for k in range(self.dim)]
-                       for j in range(self.dim)]
-                      for i in range(self.dim)]
-        comult = [sorted([i, j, rat_to_str(v)] for (i, j), v in row.items())
-                  for row in self.comult]
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "basis_labels": self.basis_labels,
-            "generators": [[lbl, {str(k): rat_to_str(v)
-                                  for k, v in vec.items()}]
-                           for lbl, vec in self.generators],
-            "mult": dense_mult,
-            "comult": comult,
-            "counit": [rat_to_str(v) for v in self.counit],
-            "antipode": [sorted([k, rat_to_str(v)] for k, v in col.items())
-                         for col in self.antipode],
-        }
-
 
 # ---------------------------------------------------------------------
 # the two families
@@ -218,7 +197,6 @@ def build_km(m):
         raise OutOfRange(f"m must be in 1..6, got {m}")
     gen_labels = ["K"] + [f"x{i}" for i in range(1, m + 1)]
     words = _increasing_words(m + 1)
-    unit_pair = lambda: None  # noqa: E731 (documentation aid only)
     # D(K) = K(x)K ; D(xi) = K(x)xi + xi(x)1
     def idx(w):
         return words.index(w)

@@ -18,7 +18,7 @@ from .hopf import build_km
 from .indec import IndecLabel, realize
 from .ratlin import ONE, Rat, RatMatrix, ZERO, kernel_dicts, solve_linear
 from .rep import (decompose, hom_basis, principal_projective,
-                  radical_vectors, submodule)
+                  radical_vectors, regular_module, submodule)
 
 
 class ProjSkeleton:
@@ -180,6 +180,7 @@ def _generator_maps(m):
     iotas = []
     for r in (0, 1):
         iotas.append(block(RatMatrix.identity(dims[r]), r, r))
+    regular = regular_module(algebra)
     phis = {}
     for r in (0, 1):
         for i in range(1, m + 1):
@@ -187,43 +188,14 @@ def _generator_maps(m):
             s = 1 - r
             e_s = {algebra.index[()]: Rat(1, 2),
                    algebra.index[(0,)]: (ONE if s == 0 else -ONE) * Rat(1, 2)}
-            xi_es = _elem_mult(algebra, {algebra.index[(i,)]: ONE}, e_s)
+            xi_es = algebra.multiply({algebra.index[(i,)]: ONE}, e_s)
             cols = []
             for bcol in incls[r].col_dicts():
                 # bcol is x e_r as an algebra element; multiply by xi_i e_s
-                img = _left_mult(algebra, bcol).apply(xi_es)
+                img = regular.elem_action(bcol).apply(xi_es)
                 cols.append(_proj_coords(incls[s], img))
             phis[(i, r)] = block(RatMatrix.from_columns(cols, dims[s]), s, r)
     return algebra, projs, incls, iotas, phis, total
-
-
-def _left_mult(algebra, vec):
-    """Left multiplication matrix by a sparse algebra element."""
-    n = algebra.dim
-    data = {}
-    for i, ci in vec.items():
-        for j in range(n):
-            for k, v in algebra.mult[(i, j)].items():
-                key = (k, j)
-                nv = data.get(key, ZERO) + ci * v
-                if nv:
-                    data[key] = nv
-                else:
-                    data.pop(key, None)
-    return RatMatrix(n, n, data)
-
-
-def _elem_mult(algebra, x, y):
-    out = {}
-    for i, ci in x.items():
-        for j, cj in y.items():
-            for k, v in algebra.mult[(i, j)].items():
-                nv = out.get(k, ZERO) + ci * cj * v
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
-    return out
 
 
 def verify_auslander_iso(m):
@@ -302,7 +274,7 @@ def verify_auslander_iso(m):
         e_r = {algebra.index[()]: Rat(1, 2),
                algebra.index[(0,)]: (ONE if r == 0 else -ONE) * Rat(1, 2)}
         if w:
-            f_images.append(_elem_mult(algebra, {algebra.index[w]: ONE}, e_r))
+            f_images.append(algebra.multiply({algebra.index[w]: ONE}, e_r))
         else:
             f_images.append(e_r)
 
@@ -322,7 +294,7 @@ def verify_auslander_iso(m):
     for bi, u in enumerate(basis_maps):
         for bj, v in enumerate(basis_maps):
             lhs = f_of(u * v)
-            rhs = _elem_mult(algebra, f_images[bi], f_images[bj])
+            rhs = algebra.multiply(f_images[bi], f_images[bj])
             if lhs != rhs:
                 hom_ok = False
     rep.record("F is multiplicative on all basis pairs", hom_ok)

@@ -16,7 +16,7 @@ elimination core takes integer rows.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import NoSolution
@@ -627,31 +627,61 @@ def squarefree_part(p):
     return _poly_divmod(p, g)[0]
 
 
-def _divisors(n):
-    """Positive divisors of a nonzero integer."""
-    n = abs(n)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in small if d * d != n]
+def _integer_poly(p):
+    """The primitive integer polynomial that is a positive multiple of p."""
+    ints, _ = _scaled(dict(enumerate(p)))
+    g = gcd(*ints.values()) or 1
+    return [ints[k] // g for k in range(len(p))]
+
+
+def _value_at(c, y, a):
+    """a^d c(y / a), for an integer polynomial c of degree d and a > 0: an
+    integer with the sign of c(y / a)."""
+    h, w = 0, 1
+    for ci in reversed(c):
+        h = h * y + ci * w
+        w *= a
+    return h
 
 
 def rational_roots(p):
     """Distinct rational roots of a nonzero polynomial, ascending.
 
-    The rational-root test on f, the integer multiple of p with the
-    power t^low that divides it taken out (t^low gives the root 0): a
-    nonzero root w/v in lowest terms has w dividing f(0) and v dividing
-    the leading coefficient.
+    f, an integer multiple of the squarefree part of p with leading
+    coefficient a > 0, has the same roots.  A rational root r of f makes
+    a r an integer y (a r is a rational algebraic integer), and |y| is at
+    most Y, the sum of the absolute values of f's coefficients (Cauchy's
+    bound).  The Sturm sequence of f counts its real roots in an interval
+    (lo, hi], so bisection over the integers in (-Y - 1, Y] narrows each
+    real root to one (y - 1, y], whose only candidate y / a is checked
+    exactly.  The cost grows with the number of bits of the coefficients,
+    not with their size, as a search over their divisors would.
     """
-    ints, _ = _scaled({k: c for k, c in enumerate(p) if c})
-    low = min(ints)
-    f = [ints.get(k, 0) for k in range(low, len(p))]
-    n = len(f) - 1
-    roots = {ZERO} if low else set()
-    for u in _divisors(f[0]):
-        for v in _divisors(f[n]):
-            if gcd(u, v) != 1:
-                continue
-            for w in (u, -u):  # is v^n f(w/v), an integer, zero?
-                if not sum(c * w ** k * v ** (n - k) for k, c in enumerate(f)):
-                    roots.add(Rat(w, v))
+    f = _integer_poly(squarefree_part(p))
+    if f[-1] < 0:
+        f = [-c for c in f]
+    sturm = [f, _integer_poly([k * c for k, c in enumerate(f)][1:])]
+    while len(sturm[-1]) > 1:  # f is squarefree: ends in a constant
+        rem = _poly_divmod([Rat(c) for c in sturm[-2]], sturm[-1])[1]
+        sturm.append(_integer_poly([-c for c in rem]))
+    a = f[-1]
+
+    def changes(y):
+        signs = [v > 0 for v in (_value_at(c, y, a) for c in sturm) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    roots = []
+    bound = sum(map(abs, f))
+    stack = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if not _value_at(f, hi, a):
+                roots.append(Rat(hi, a))
+            continue
+        mid = (lo + hi) // 2
+        v_mid = changes(mid)
+        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return sorted(roots)

@@ -14,11 +14,11 @@ projective summands are split off (the top odd word acts nonzero exactly
 on them, and the free part, spanned by the odd words applied to
 preimages of its image, splits because the algebra is self-injective);
 the remainder is handled by the endomorphism-algebra meataxe: the
-trace-form radical of End(M) certifies indecomposable
-modules (End(M) local), the others are split by Fitting splits on
-sampled endomorphisms, and, when none of those splits, by a Fitting
-split at a rational eigenvalue found by the rational-root test.  Over
-DK1 the central involution bc splits the module first.
+trace-form radical of End(M) certifies indecomposable modules (End(M)
+local), and every other module is split by the Fitting split of
+theta - lambda, for theta in a sample drawn from a basis of End(M)/rad
+and lambda a rational eigenvalue found by Sturm bisection.  Over DK1 the
+central involution bc splits the module first.
 
 Vectors are sparse dicts index -> Rat.  submodule and quotient_module take
 vectors that already span a submodule, and read its basis off one reduced
@@ -27,12 +27,13 @@ echelon form (ratlin.span_basis).
 
 from __future__ import annotations
 
+from itertools import chain
 from math import lcm
 
 from .errors import (AlgebraMismatch, GreenRingError, InvalidModule,
                      NonSplitField, OutOfRange, Unclassified)
 from .hopf import build_km, get_algebra, jacobson_radical
-from .ratlin import (ONE, Rat, RatMatrix, _echelon, _normalized,
+from .ratlin import (ONE, ZERO, Rat, RatMatrix, _echelon, _normalized,
                      block_diag, kernel_basis, kernel_dicts,
                      kronecker_product, minimal_polynomial, rat_from_str,
                      rat_to_str, rational_roots, span_basis,
@@ -603,50 +604,16 @@ def _decompose_dk1(m):
     return _decompose_dk1(sub_p) + _decompose_dk1(sub_m)
 
 
-def _fitting_candidates(endos):
-    """Deterministic endomorphism sample for Fitting splits."""
-    for t in endos:
-        yield t
-    k = len(endos)
-    for i in range(k):
-        for j in range(i + 1, k):
-            yield endos[i] + endos[j]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                yield endos[i] * endos[j]
-    # fixed pseudo-random small combinations
-    state = 1
-    for _ in range(10):
-        coeffs = []
-        for _ in range(k):
-            state = (state * 1103515245 + 12345) % (1 << 31)
-            coeffs.append(Rat((state >> 16) % 5 - 2))
-        t = RatMatrix.zeros(endos[0].rows, endos[0].cols)
-        for c, e in zip(coeffs, endos):
-            if c:
-                t = t + e.scale(c)
-        yield t
-
-
 def _meataxe(m):
-    """End(M)-driven decomposition of a module with no free part.
-
-    The local-End certificate comes first: M is indecomposable when
-    End(M)/rad is Q, and on a local End(M) every Fitting candidate is
-    nilpotent or invertible, so none of them could split M.  A larger
-    End(M)/rad can still be a field; _split_idempotent tells that case.
-    """
+    """End(M)-driven decomposition of a module with no free part: M is
+    indecomposable when End(M)/rad is Q (the local-End certificate), and
+    every other M goes to _meataxe_idempotent."""
     endos = hom_basis(m, m).basis
     if len(endos) == 1:
         return [m]
     rad = _end_radical(endos)
     if len(endos) - len(rad) == 1:
         return [m]
-    for theta in _fitting_candidates(endos):
-        parts = _fitting_split(m, theta)
-        if parts:
-            return decompose(parts[0]) + decompose(parts[1])
     return _meataxe_idempotent(m, endos, rad)
 
 
@@ -683,15 +650,20 @@ def _end_radical(endos):
 
 def _meataxe_idempotent(m, endos, rad):
     """Split M, whose End(M)/rad is not Q, at a rational eigenvalue of a
-    sampled endomorphism: the basis endos, then their pairwise sums.
+    sample of End(M)/rad: a basis b_1..b_q, then b_i + b_j and b_i - b_j
+    for each pair i < j; a split depends only on theta mod rad.
 
-    rad is the radical of End(M) in coordinates of the basis endos.
+    rad, the radical of End(M) in normal form in coordinates of the endos,
+    is 1 at its free columns, so the other endos map to a basis of
+    End(M)/rad.  A b_i - b_j can have a rational eigenvalue when no b_i
+    and no b_i + b_j has one.
     """
-    q = len(endos) - len(rad)
-    k = len(endos)
-    samples = endos + [endos[i] + endos[j]
-                       for i in range(k) for j in range(i + 1, k)]
-    for theta in samples:
+    free = {max(r) for r in rad}
+    basis = [e for k, e in enumerate(endos) if k not in free]
+    q = len(basis)
+    pairs = (t for i, a in enumerate(basis) for b in basis[i + 1:]
+             for t in (a + b, a - b))
+    for theta in chain(basis, pairs):
         parts = _split_idempotent(m, theta, q)
         if parts:
             return decompose(parts[0]) + decompose(parts[1])
@@ -710,14 +682,14 @@ def _split_idempotent(m, theta, q):
     - A rational root lambda of a p of degree >= 2 makes theta - lambda
       neither nilpotent nor invertible, so its Fitting split is proper;
       the projection onto the generalized lambda-eigenspace is the
-      idempotent.
+      idempotent.  Whether 0 is a root is read off p(0), with no search.
     - If p has degree q = dim End(M)/rad, then Q[theta] is all of
       End(M)/rad.  For q <= 3 with no rational root, p is irreducible, so
       End(M)/rad is a field and M is indecomposable, with a residue field
       larger than Q: no label names it, and Unclassified says so.
     """
     p = squarefree_part(minimal_polynomial(theta))
-    roots = rational_roots(p)
+    roots = rational_roots(p) if p[0] else [ZERO]
     if roots and len(p) > 2:
         shift = RatMatrix.identity(m.dim).scale(roots[0])
         return _fitting_split(m, theta - shift)

@@ -7,6 +7,7 @@ import pytest
 from greenring.cli import eval_as_green, eval_as_module, main, parse_expr
 from greenring.errors import ExprSyntaxError
 from greenring.indec import IndecLabel, realize
+from test_indec import repeated_summand_module
 
 
 def test_parse_expr_shapes():
@@ -53,6 +54,15 @@ def test_identify_roundtrip(tmp_path, capsys):
     path.write_text(json.dumps(mod.to_json_dict()))
     assert main(["identify", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "M(2,1,2/3)"
+
+
+def test_identify_repeated_summand(tmp_path, capsys):
+    """The meataxe splits O(+1,0)^2 at an eigenvalue of a difference of two
+    End/rad basis elements: in this basis no earlier sample splits it."""
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(repeated_summand_module().to_json_dict()))
+    assert main(["identify", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "2*O(+1,0) + O(-1,1)"
 
 
 def test_identify_missing_file(capsys):

@@ -244,10 +244,16 @@ def _check_k_eigenbasis(m):
         assert a * p == p * e.actions[lbl]
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(24))
 def test_identify_without_free_part_under_basis_change(seed):
+    """Seeds 12 and up repeat a summand, [L, L, L'] or [L, L, L], so that
+    End(M)/rad holds M_2(Q) or M_3(Q)."""
     rng = random.Random(seed)
-    labels = [rng.choice(DENSE_LABELS) for _ in range(rng.randint(2, 3))]
+    if seed < 12:
+        labels = [rng.choice(DENSE_LABELS) for _ in range(rng.randint(2, 3))]
+    else:
+        lbl = rng.choice(DENSE_LABELS)
+        labels = [lbl, lbl, lbl if seed % 2 else rng.choice(DENSE_LABELS)]
     m = _scrambled(direct_sum([realize(l, "K2") for l in labels]), rng)
     assert check_module(m).ok
     _check_k_eigenbasis(m)
@@ -327,10 +333,10 @@ def test_image_submodule_and_quotient_of_an_endomorphism(seed):
 
 
 def test_identify_reaches_the_idempotent_split(monkeypatch):
-    """O(-2,1) + O(-1,1) + M(2,0,5/7) in a basis where, after the change to
-    a K-eigenbasis, every Fitting candidate on one piece fails, so its
-    End is split at a rational eigenvalue of a sampled endomorphism; the
-    route needs no sympy."""
+    """O(-2,1) + O(-1,1) + M(2,0,5/7) in a scrambled basis: End(M)/rad is
+    Q^3, so the meataxe splits M at a rational eigenvalue of a basis
+    element of End(M)/rad, and then the 9-dimensional piece the same way;
+    the route needs no sympy."""
     monkeypatch.setitem(sys.modules, "sympy", None)
     calls = {"_meataxe_idempotent": 0, "_split_idempotent": 0}
     for name in calls:
@@ -354,9 +360,29 @@ def test_identify_reaches_the_idempotent_split(monkeypatch):
     assert identify(m) == [IndecLabel.parse("O(-1,1)"),
                            IndecLabel.parse("O(-2,1)"),
                            IndecLabel.parse("M(2,0,5/7)")]
-    # _split_idempotent runs once per sampled endomorphism; the third
-    # sample has a rational eigenvalue that splits the piece
-    assert calls == {"_meataxe_idempotent": 1, "_split_idempotent": 3}
+    # _split_idempotent runs once per sampled endomorphism; on M (12 = 3 +
+    # 9) and on its 9-dimensional piece (9 = 5 + 4) the first one splits
+    assert calls == {"_meataxe_idempotent": 2, "_split_idempotent": 2}
+
+
+def repeated_summand_module():
+    """O(+1,0) + O(+1,0) + O(-1,1) in a basis where the meataxe splits off
+    O(-1,1), and then no basis element b_i of End/rad = M_2(Q) of the
+    piece O(+1,0)^2, nor b_0 + b_1, splits it: mod rad each is a scalar or
+    has the minimal polynomial t^2 + 1, t^2 + t + 1 or t^2 + t + 4.  The
+    difference b_0 - b_1 has the eigenvalues 0 and -1."""
+    labels = [IndecLabel.parse(t) for t in ("O(+1,0)", "O(+1,0)", "O(-1,1)")]
+    steps = [(2, 3, 1), (4, 0, 1), (3, 1, -1), (3, 1, 1), (6, 4, -1),
+             (1, 5, -1), (4, 2, -1), (1, 2, -1), (0, 1, 1)]
+    return _conjugated(direct_sum([realize(l, "K2") for l in labels]),
+                       steps[::-1])
+
+
+def test_identify_splits_a_repeated_summand_at_a_difference():
+    m = repeated_summand_module()
+    assert check_module(m).ok
+    assert identify(m) == [IndecLabel.parse(t)
+                           for t in ("O(+1,0)", "O(+1,0)", "O(-1,1)")]
 
 
 def _band(b):

@@ -187,6 +187,16 @@ def test_rational_roots_of_irreducibles():
     assert rational_roots([ZERO, ZERO, ONE]) == [0]  # t^2
 
 
+def test_rational_roots_of_large_coefficients():
+    """The search takes a number of steps that grows with the bits of the
+    coefficients: the divisors of 2^61 - 1, a prime, are never listed."""
+    big = Rat(2 ** 61 - 1)
+    p = poly_mul([-big, Rat(3 ** 40)], [big, ZERO, ONE], [ZERO, ONE])
+    assert rational_roots(p) == [0, big / 3 ** 40]
+    assert rational_roots(poly_mul(p, p, [big, ONE])) == [-big, 0,
+                                                          big / 3 ** 40]
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(), matrices())
 def test_trace_product_matches_product_trace(a, b):

@@ -108,6 +108,28 @@ def test_injective_hull_embeds():
         assert emb * m.actions[lbl] == hull.actions[lbl] * emb
 
 
+@pytest.mark.parametrize("summands, cover", [
+    (["V(0)"], ["P(0)"]),
+    (["V(1)"], ["P(1)"]),
+    (["O(+1,0)"], ["P(1)", "P(1)"]),
+    (["M(1,0,2/3)"], ["P(0)"]),
+    (["St(0)"], ["St(0)"]),
+    (["St(1)"], ["St(1)"]),
+    (["St(0)", "V(1)"], ["P(1)", "St(0)"]),
+])
+def test_projective_cover_and_injective_hull_over_dk1(summands, cover):
+    """Each route of the DK1 cover: bc = 1 goes through K2, a Steinberg
+    module covers itself, and a mixed module is split by bc first."""
+    m = direct_sum([realize(IndecLabel.parse(t), "DK1") for t in summands])
+    p, cov = projective_cover(m)
+    hull, emb = injective_hull(m)
+    assert cov.rank() == m.dim and emb.rank() == m.dim
+    for lbl in ("a", "b", "c", "d"):
+        assert cov * p.actions[lbl] == m.actions[lbl] * cov
+        assert emb * m.actions[lbl] == hull.actions[lbl] * emb
+    assert identify(p) == [IndecLabel.parse(t) for t in cover]
+
+
 def test_decompose_regular():
     parts = decompose(regular_module(K2))
     assert sorted(p.dim for p in parts) == [4, 4]
