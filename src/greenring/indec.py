@@ -2,8 +2,11 @@
 
 Labels follow the text syntax V(r), P(r), O(+s,r), O(-s,r), M(n,r,eta),
 St(r).  realize() produces one canonical matrix presentation per label;
-identify() inverts it on arbitrary modules via invariants plus an
-explicit isomorphism certificate.  The eta-parameter convention for the
+identify() inverts it on arbitrary modules.  Each summand gets one
+candidate label, read off its actions in a K-eigenbasis (over K2: the
+head and radical K-eigenspaces, the sign of K on them, and eta from the
+head-to-radical pencil), and that candidate is certified by one explicit
+isomorphism to its realization.  The eta-parameter convention for the
 M-family is pinned down by the calibration test in the test suite, not
 by any outside source.
 """
@@ -12,16 +15,13 @@ from __future__ import annotations
 
 import re
 
-from .errors import (GreenRingError, InvalidLabel, NoSolution, NotInR0,
-                     OutOfRange)
+from .errors import GreenRingError, InvalidLabel, NotInR0, OutOfRange
 from .hopf import build_dk1, build_km
-from .ratlin import (ONE, Rat, RatMatrix, ZERO, _normalized, kernel_basis,
-                     rat_from_str, rat_to_str, solve_linear,
-                     span_coordinates)
-from .rep import (ModuleRep, decompose, dk1_as_k2_actions,
+from .ratlin import (ONE, Rat, RatMatrix, _echelon, kernel_basis,
+                     rat_from_str, rat_to_str)
+from .rep import (ModuleRep, _k_eigenbasis, decompose, dk1_as_k2_actions,
                   injective_hull, is_isomorphic, k2_as_dk1_actions,
-                  projective_cover, quotient_module, radical_vectors,
-                  submodule)
+                  projective_cover, quotient_module, submodule)
 
 
 class EtaPoint:
@@ -247,7 +247,6 @@ def _parity(text):
 
 
 _realize_cache = {}
-_parity_cache = {}  # label key -> _parity_invariant of its realization
 
 
 def realize(label, algebra="K2"):
@@ -385,7 +384,12 @@ def identify(m):
 
 
 def identify_indecomposable(m):
-    """Label of a module already known to be indecomposable."""
+    """Label of a module already known to be indecomposable.
+
+    One candidate label is read off the actions (over K2, in a
+    K-eigenbasis: see _k2_candidate) and certified by one is_isomorphic
+    call against its realization.
+    """
     if m.algebra.name == "DK1":
         if in_r0(m):
             return identify_indecomposable(restrict_pi(m))
@@ -398,109 +402,72 @@ def identify_indecomposable(m):
                 return label
         raise GreenRingError(f"dim-{m.dim} DK1 module outside r0 is not "
                              "Steinberg")
-    d = m.dim
-    candidates = []
-    if d == 1:
-        candidates = [IndecLabel.simple(0), IndecLabel.simple(1)]
-    else:
-        rank12 = _x1x2(m).rank()
-        if d == 4 and rank12 == 1:
-            candidates = [IndecLabel.proj(0), IndecLabel.proj(1)]
-        elif d % 2 == 1:
-            s = (d - 1) // 2
-            head_dim = d - len(radical_vectors(m))
-            if head_dim == s + 1:
-                candidates = [IndecLabel.syz_pos(s, r) for r in (0, 1)]
-            elif head_dim == s:
-                candidates = [IndecLabel.syz_neg(s, r) for r in (0, 1)]
-        else:
-            lbl = _mtype_candidate(m)
-            if lbl is not None:
-                candidates = [lbl]
-    if len(candidates) > 1:
-        # the two parities differ in an invariant: keep the one that agrees
-        kind = candidates[0].kind
-        inv = _parity_invariant(m, kind)
-        candidates = [l for l in candidates if _label_parity(l) == inv]
-    for lbl in candidates:
-        ok, _ = is_isomorphic(m, realize(lbl, "K2"))
-        if ok:
-            return lbl
+    m = _k_eigenbasis(m)
+    label = _k2_candidate(m)
+    if label is not None and is_isomorphic(m, realize(label, "K2"))[0]:
+        return label
     raise GreenRingError(
-        f"dim-{d} indecomposable matched no classified label")
+        f"dim-{m.dim} indecomposable matched no classified label")
 
 
-def _parity_invariant(m, kind):
-    """An isomorphism invariant of a K2 module that separates V(0) from
-    V(1), O(+-s,0) from O(+-s,1), and P(0) from P(1).
+def _k2_candidate(m):
+    """The one label an indecomposable K2 module with diagonal K can carry,
+    read off its actions; None when the counts fit no label.
 
-    For P it is the sign by which K acts on the line im(x1.x2), else the
-    trace of K.
+    If x1.x2 != 0, M is P(r), and K acts on the socle im(x1.x2) by
+    (-1)^r.  Otherwise x1 and x2 map one K-eigenspace, the head (sign
+    sigma), onto the other, the radical: s+1 of 2s+1 dimensions in the
+    head is O(+s,r), s of 2s+1 is O(-s,r), and n of 2n is M(n,r,eta).  On
+    V(r) and O(+-s,r) tr K = (-1)^(r+s); on M(n,r,eta) sigma = (-1)^r.
     """
-    if kind != "P":
-        return m.actions["K"].trace()
-    x12 = _x1x2(m)
-    i, j = next(iter(x12.int_form()[0]))
-    return (m.actions["K"] * x12)[i, j] / x12[i, j]
-
-
-def _label_parity(label):
-    """_parity_invariant of realize(label, "K2"), computed once per label."""
-    key = label._key()
-    if key not in _parity_cache:
-        _parity_cache[key] = _parity_invariant(realize(label, "K2"),
-                                               label.kind)
-    return _parity_cache[key]
-
-
-def _x1x2(m):
-    """Action of the word x1.x2, cached on the module."""
-    return m.word_action(m.algebra.index[(1, 2)])
-
-
-def _mtype_candidate(m):
-    """Guess M(n,r,eta) invariants from the head-to-radical pencil."""
-    n = m.dim // 2
-    rad = radical_vectors(m)
-    if len(rad) != n:
+    d = m.dim
+    signs = [m.actions["K"][j, j] for j in range(d)]
+    x12 = m.word_action(m.algebra.index[(1, 2)])
+    if not x12.is_zero():
+        i, _ = next(iter(x12.int_form()[0]))
+        return IndecLabel.proj(0 if signs[i] > 0 else 1)
+    if d == 1:
+        return IndecLabel.simple(0 if signs[0] > 0 else 1)
+    cols = {j for g in ("x1", "x2") for _, j in m.actions[g].int_form()[0]}
+    if not cols:
         return None
-    head, _ = quotient_module(m, rad)
-    if head.dim != n:
+    sigma = signs[min(cols)]
+    head = [j for j in range(d) if signs[j] == sigma]
+    if d % 2:
+        s = d // 2
+        r = 0 if m.actions["K"].trace() == (-1) ** s else 1
+        if len(head) == s + 1:
+            return IndecLabel.syz_pos(s, r)
+        if len(head) == s:
+            return IndecLabel.syz_neg(s, r)
         return None
-    # K acts on the head by a single sign, which fixes r
-    kh = head.actions["K"]
-    ident = RatMatrix.identity(n)
-    if kh == ident:
-        r = 0
-    elif kh == ident.scale(-ONE):
-        r = 1
-    else:
+    if len(head) != d // 2:
         return None
-    # induced pencil head -> rad: coordinates of xi_i(lift) in the rad
-    # basis, the head lifted to the columns that are no pivot of rad
-    pivots = {min(v) for v in rad}
-    pos = {j: k for k, j in enumerate(c for c in range(m.dim)
-                                      if c not in pivots)}
-    incl = RatMatrix.from_columns(rad, m.dim)
-    pencil = []
-    for lbl in ("x1", "x2"):
-        ints, den = m.actions[lbl].int_form()
-        lifted = _normalized(m.dim, n, {(i, pos[j]): v for (i, j), v
-                                        in ints.items() if j in pos}, den)
-        try:
-            pencil.append(span_coordinates(incl, lifted))
-        except NoSolution:
-            return None
-    a1, a2 = pencil
-    if a1.rank() < n:
-        return IndecLabel.mtype(n, r, EtaPoint.infinity())
-    # eta = trace(a1^{-1} a2)/n, an invariant of the pencil
-    tr = ZERO
-    for j, col in enumerate(a2.col_dicts()):
-        x, _ = solve_linear(a1, col)
-        tr += x.get(j, ZERO)
-    return IndecLabel.mtype(n, r, EtaPoint(tr / n))
+    rad = [i for i in range(d) if signs[i] != sigma]
+    return IndecLabel.mtype(d // 2, 0 if sigma > 0 else 1,
+                            _pencil_eta(m, head, rad))
 
 
-def label_dim(label):
-    return label.dim()
+def _pencil_eta(m, head, rad):
+    """eta = tr(A1^-1 A2)/n, Ai the block of xi from the head columns to
+    the radical rows; inf when A1 is singular.
+
+    One reduced echelon form of [A1 | A2] gives it: A1 is invertible iff
+    the pivots are the first n columns, and then the reduced rows are
+    [I | A1^-1 A2].
+    """
+    n = len(head)
+    pos = {j: b for b, j in enumerate(head)}
+    pos.update({m.dim + j: n + b for b, j in enumerate(head)})
+    at = {i: a for a, i in enumerate(rad)}
+    rows = [{} for _ in rad]
+    ints, _ = m.actions["x1"].hstack(m.actions["x2"]).int_form()
+    for (i, j), v in ints.items():
+        if i in at and j in pos:
+            rows[at[i]][pos[j]] = v
+    pivot_cols, pivot_rows = _echelon(rows)
+    if pivot_cols != list(range(n)):
+        return EtaPoint.infinity()
+    tr = sum(Rat(row.get(n + c, 0), row[c])
+             for c, row in zip(pivot_cols, pivot_rows))
+    return EtaPoint(tr / n)

@@ -65,10 +65,11 @@ class ModuleRep:
         """Action matrix of the k-th basis word of the algebra."""
         m = self._word_actions.get(k)
         if m is None:
-            word = self.algebra.words[k]
-            m = RatMatrix.identity(self.dim)
-            for g in word:
-                m = m * self.actions[self.algebra.gen_labels[g]]
+            acts = [self.actions[self.algebra.gen_labels[g]]
+                    for g in self.algebra.words[k]]
+            m = acts[0] if acts else RatMatrix.identity(self.dim)
+            for a in acts[1:]:
+                m = m * a
             self._word_actions[k] = m
         return m
 

@@ -114,11 +114,9 @@ def test_identify_summand_with_no_matching_label_is_a_failure(
     """A summand whose residue field is Q and that matches no label is a
     verification failure (exit 1), not a module that no label names."""
     import greenring.indec as indec
-    # a fresh object per call: no candidate's invariant equals the module's;
-    # the labels' stored invariants go to a scratch cache, so the fake ones
-    # computed here do not outlive the test
-    monkeypatch.setattr(indec, "_parity_invariant", lambda m, kind: object())
-    monkeypatch.setattr(indec, "_parity_cache", {})
+    # every certificate fails, so the candidate read off V(0) + V(1)'s
+    # summands is matched by no label
+    monkeypatch.setattr(indec, "is_isomorphic", lambda m, n: (False, None))
     path = _k2_file(tmp_path, {"K": [["1", "0"], ["0", "-1"]],
                                "x1": ZERO2, "x2": ZERO2})
     assert main(["identify", path]) == 1

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from greenring.errors import (InvalidLabel, NonSplitField, NoSolution,
-                              NotInR0, OutOfRange, Unclassified)
+from greenring.errors import (GreenRingError, InvalidLabel, NonSplitField,
+                              NoSolution, NotInR0, OutOfRange, Unclassified)
 from greenring import indec, rep
 from greenring.green import STANDARD_ETAS
 from greenring.hopf import build_km
@@ -432,20 +432,43 @@ def test_identify_cannot_certify_a_residue_field_of_degree_4():
                         [0, 0, 1, 0]]))
 
 
-def test_label_parity_is_computed_once_per_label(monkeypatch):
-    """The parity invariant of each candidate label is stored once: for
-    every label of the criterion-02 sweep, the stored value equals a fresh
-    _parity_invariant of its realization, and later lookups reuse it."""
-    sweep = _k2_labels(4, 0, []) + _k2_labels(0, 4, STANDARD_ETAS[3:5])
-    monkeypatch.setattr(indec, "_parity_cache", {})
-    for lbl in sweep:
-        stored = indec._label_parity(lbl)
-        assert indec._parity_cache[lbl._key()] == stored
-        assert stored == indec._parity_invariant(realize(lbl, "K2"), lbl.kind)
+def test_candidate_read_off_every_realization():
+    """The label read off the diagonal-K form of realize(lbl) is lbl, for
+    every K2 label with s <= 8 and n <= 4, both parities and every
+    standard eta."""
+    for lbl in _k2_labels(8, 4, STANDARD_ETAS):
+        m = rep._k_eigenbasis(realize(lbl, "K2"))
+        assert indec._k2_candidate(m) == lbl
 
-    def recompute(m, kind):
-        raise AssertionError("the invariant was computed again")
 
-    monkeypatch.setattr(indec, "_parity_invariant", recompute)
-    for lbl in sweep:
-        assert indec._label_parity(lbl) == indec._parity_cache[lbl._key()]
+@pytest.mark.parametrize("text", ("P(1)", "O(+2,1)", "O(-3,0)",
+                                  "M(2,0,5/7)", "M(1,1,inf)"))
+def test_identify_indecomposable_under_basis_change(text, monkeypatch):
+    """Called directly on a module whose K is not diagonal,
+    identify_indecomposable moves it to a K-eigenbasis, reads one
+    candidate and certifies it with one is_isomorphic call."""
+    lbl = IndecLabel.parse(text)
+    m = _scrambled(realize(lbl, "K2"), random.Random(lbl.dim()))
+    assert check_module(m).ok
+    assert any(i != j for i, j in m.actions["K"].int_form()[0])
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return is_isomorphic(a, b)
+
+    monkeypatch.setattr(indec, "is_isomorphic", counted)
+    assert indec.identify_indecomposable(m) == lbl
+    assert calls == [realize(lbl, "K2")]
+
+
+@pytest.mark.parametrize("texts", (["V(0)", "V(1)"], ["O(+1,0)", "V(1)"],
+                                   ["O(+1,0)", "V(1)", "V(1)"]))
+def test_identify_indecomposable_rejects_a_direct_sum(texts):
+    """On a decomposable module the head and radical counts fit no label
+    (x1 = x2 = 0 in dimension 2; a head of 3 of 4 or 4 of 5 dimensions):
+    no candidate, and the same error as a failed certificate."""
+    m = direct_sum([realize(IndecLabel.parse(t), "K2") for t in texts])
+    assert indec._k2_candidate(m) is None
+    with pytest.raises(GreenRingError, match="matched no classified label"):
+        indec.identify_indecomposable(m)
