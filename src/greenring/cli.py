@@ -9,7 +9,8 @@ verify.  Expressions follow the grammar
 
 with labels in the V(r) / P(r) / O(+s,r) / O(-s,r) / M(n,r,eta) / St(r)
 syntax.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse error, malformed input file, or a module that no label names.
+parse error, malformed input file, a module that no label names, or a
+label above MAX_LABEL_DIM in a command that builds modules.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 import sys
 
 from .errors import (ExprSyntaxError, GreenRingError, InvalidIdealSpec,
-                     InvalidLabel, InvalidModule, Unclassified)
+                     InvalidLabel, InvalidModule, OutOfRange, Unclassified)
 from .green import GreenElement, green_mul
 from .ideal import (IdealSpec, ideal_closure, ideal_contains, is_negligible,
                     qdim)
@@ -112,7 +113,7 @@ class _Parser:
             self.pos += 1
             inner = self.expr()
             self._expect(")")
-            return Expr("group", inner)
+            return inner
         m = _INT_RE.match(rest)
         if m:
             k = int(m.group(0))
@@ -127,24 +128,22 @@ def parse_expr(text):
     return _Parser(text).parse()
 
 
-def expr_labels(e, out=None):
-    if out is None:
-        out = []
-    if e.kind == "label":
-        out.append(e.parts[0])
-    else:
-        for p in e.parts:
-            if isinstance(p, Expr):
-                expr_labels(p, out)
-    return out
+# The one size limit: the largest label dimension eval_as_module realizes
+# for fuse, negligible and qdim.  It bounds each factor of an expression.
+# green-mul and verify have no limit, so nothing stops the oracle on a
+# sweep product.
+MAX_LABEL_DIM = 64
 
 
 def eval_as_module(e, algebra):
     """Evaluate an expression to a concrete module."""
     if e.kind == "label":
-        return realize(e.parts[0], algebra)
-    if e.kind == "group":
-        return eval_as_module(e.parts[0], algebra)
+        lbl = e.parts[0]
+        if lbl.dim() > MAX_LABEL_DIM:
+            raise OutOfRange(f"{lbl} has dimension {lbl.dim()}; modules are "
+                             f"built only for labels of dimension at most "
+                             f"{MAX_LABEL_DIM}")
+        return realize(lbl, algebra)
     if e.kind == "dual":
         return dual(eval_as_module(e.parts[0], algebra))
     if e.kind == "tensor":
@@ -170,8 +169,6 @@ def eval_as_green(e, algebra):
         if not lbl.valid_for(algebra):
             raise InvalidLabel(f"{lbl} is not valid over {algebra}")
         return GreenElement.from_label(lbl)
-    if e.kind == "group":
-        return eval_as_green(e.parts[0], algebra)
     if e.kind == "dual":
         return eval_as_green(e.parts[0], algebra).dual()
     if e.kind == "tensor":
@@ -199,9 +196,7 @@ def _emit(args, payload, text):
 def cmd_fuse(args):
     e = parse_expr(args.expr)
     mod = eval_as_module(e, args.algebra)
-    oracle = GreenElement()
-    for lbl in identify(mod):
-        oracle = oracle + GreenElement.from_label(lbl)
+    oracle = GreenElement((lbl, 1) for lbl in identify(mod))
     closed = eval_as_green(e, args.algebra)
     agreement = oracle == closed
     text = f"oracle:      {oracle}\nclosed form: {closed}"
@@ -223,10 +218,7 @@ def cmd_identify(args):
         raise InvalidModule(
             f"the actions do not define a {mod.algebra.name} module; "
             f"failed: {', '.join(report.failures[:3])}")
-    labels = identify(mod)
-    out = GreenElement()
-    for lbl in labels:
-        out = out + GreenElement.from_label(lbl)
+    out = GreenElement((lbl, 1) for lbl in identify(mod))
     _emit(args, {"command": "identify", "inputs": {"file": args.file},
                  "result": out.to_json_list()}, str(out))
     return 0
@@ -393,7 +385,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ExprSyntaxError, InvalidLabel, InvalidModule, InvalidIdealSpec,
-            Unclassified, FileNotFoundError, json.JSONDecodeError) as exc:
+            OutOfRange, Unclassified, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GreenRingError as exc:

@@ -15,7 +15,7 @@ relevant branches and the verification report.
 from __future__ import annotations
 
 from .errors import InvalidLabel
-from .indec import EtaPoint, IndecLabel, identify, realize
+from .indec import _KINDS, EtaPoint, IndecLabel, identify, realize
 from .rep import tensor
 
 
@@ -148,7 +148,7 @@ def green_mul_labels(a, b, algebra="K2"):
         if not lbl.valid_for(algebra):
             raise InvalidLabel(f"{lbl} is not valid over {algebra}")
     # put the structurally earlier kind first; the table is symmetric
-    if _KIND_ORDER[a.kind] > _KIND_ORDER[b.kind]:
+    if _KINDS.index(a.kind) > _KINDS.index(b.kind):
         a, b = b, a
     ka, kb = a.kind, b.kind
     r = (a.r + b.r) % 2
@@ -212,9 +212,6 @@ def green_mul_labels(a, b, algebra="K2"):
     raise InvalidLabel(f"no product rule for {a} * {b}")  # unreachable
 
 
-_KIND_ORDER = {"V": 0, "P": 1, "O+": 2, "O-": 3, "M": 4, "St": 5}
-
-
 def green_mul(x, y, algebra="K2"):
     """Bilinear extension of the closed-form table."""
     out = GreenElement()
@@ -227,10 +224,7 @@ def green_mul(x, y, algebra="K2"):
 def green_mul_oracle(a, b, algebra="K2"):
     """Ground-truth product: realize, tensor, decompose, identify."""
     t = tensor(realize(a, algebra), realize(b, algebra))
-    out = GreenElement()
-    for lbl in identify(t):
-        out = out + GreenElement.from_label(lbl)
-    return out
+    return GreenElement((lbl, 1) for lbl in identify(t))
 
 
 # ---------------------------------------------------------------------

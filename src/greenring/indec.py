@@ -327,12 +327,10 @@ def syzygy(k, r):
     """Omega^k V(r): iterated (co)kernels through projective covers.
 
     Positive k takes kernels of covers, negative k cokernels into
-    injective hulls; the size guard keeps |k| <= 8.
+    injective hulls.
     """
     if not isinstance(k, int) or k == 0:
         raise OutOfRange("syzygy index must be a nonzero integer")
-    if abs(k) > 8:
-        raise OutOfRange("syzygy index limited to |k| <= 8")
     m = _realize_k2(IndecLabel.simple(r))
     if k > 0:
         for _ in range(k):

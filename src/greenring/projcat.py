@@ -148,12 +148,6 @@ class AuslanderReport:
         return out
 
 
-def _proj_coords(incl, vec):
-    """Coordinates of an algebra vector in a projective's basis."""
-    x, _ = solve_linear(incl, vec)
-    return x
-
-
 def _generator_maps(m):
     """The maps iota_r and phi^i_r as blocks of End(P0 + P1).
 
@@ -193,7 +187,7 @@ def _generator_maps(m):
             for bcol in incls[r].col_dicts():
                 # bcol is x e_r as an algebra element; multiply by xi_i e_s
                 img = regular.elem_action(bcol).apply(xi_es)
-                cols.append(_proj_coords(incls[s], img))
+                cols.append(solve_linear(incls[s], img)[0])
             phis[(i, r)] = block(RatMatrix.from_columns(cols, dims[s]), s, r)
     return algebra, projs, incls, iotas, phis, total
 
@@ -362,9 +356,3 @@ def has_simple_image_lemma(phi, skel, i, k):
                     if jphi is not None and not jphi.is_zero():
                         return False
     return True
-
-
-def object_from_map(phi, source, target):
-    """The image of a map between projectives, as a module."""
-    img, _ = submodule(target, phi.col_dicts())
-    return img

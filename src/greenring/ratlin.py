@@ -285,6 +285,28 @@ def trace_product(a, b):
                    if (j, i) in bi), da * db)
 
 
+def trace_form_radical(mats):
+    """Radical of the trace form (x, y) -> tr(xy) on the span of the square
+    matrices mats: the kernel of its Gram matrix tr(mats[i] mats[j]), in
+    coordinates of mats, as a kernel_basis.
+
+    When the span is a unital algebra B of matrices over Q, this is the
+    Jacobson radical of B: the form's radical is a nil ideal and contains
+    every nil ideal, because B acts faithfully and contains the identity.
+    """
+    n = len(mats)
+    ints = [e.int_form() for e in mats]
+    transposed = [{(b, a): v for (a, b), v in t.items()} for t, _ in ints]
+    gram = {}
+    for i, (ti, di) in enumerate(ints):
+        for j in range(i, n):
+            tj = transposed[j]
+            s = sum(v * tj[k] for k, v in ti.items() if k in tj)
+            if s:
+                gram[(i, j)] = gram[(j, i)] = Rat(s, di * ints[j][1])
+    return kernel_basis(RatMatrix(n, n, gram))
+
+
 # -- elimination core ------------------------------------------------
 #
 # Elimination is fraction-free in the sense of Bareiss (Math. Comp. 22,

@@ -37,7 +37,7 @@ from .ratlin import (ONE, ZERO, Rat, RatMatrix, _echelon, _normalized,
                      block_diag, kernel_basis, kernel_dicts,
                      kronecker_product, minimal_polynomial, rat_from_str,
                      rat_to_str, rational_roots, span_basis,
-                     span_coordinates, squarefree_part)
+                     span_coordinates, squarefree_part, trace_form_radical)
 
 _radical_cache = {}
 
@@ -240,24 +240,6 @@ def direct_sum(mods, algebra=None):
     return ModuleRep(a, sum(m.dim for m in mods), actions)
 
 
-class HomBasis:
-    """Basis of intertwiners source -> target, in echelon normal form."""
-
-    def __init__(self, source, target, basis):
-        self.source = source
-        self.target = target
-        self.basis = basis
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __getitem__(self, k):
-        return self.basis[k]
-
-
 def hom_rows(m, n):
     """The intertwining constraints T rho_M(g) = rho_N(g) T, as sparse
     integer rows over the unknowns of T.
@@ -300,15 +282,14 @@ def hom_rows(m, n):
 
 
 def hom_basis(m, n):
-    """All T with T rho_M(g) = rho_N(g) T, as a HomBasis: the kernel of
-    hom_rows(m, n), solved as one sparse system."""
+    """A basis of all T with T rho_M(g) = rho_N(g) T, in echelon normal
+    form: the kernel of hom_rows(m, n), solved as one sparse system."""
     rows = hom_rows(m, n)
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
-        return HomBasis(m, n, [])
-    basis = [RatMatrix(dn, dm, {divmod(u, dm): v for u, v in vec.items()})
-             for vec in kernel_dicts(rows, dn * dm)]
-    return HomBasis(m, n, basis)
+        return []
+    return [RatMatrix(dn, dm, {divmod(u, dm): v for u, v in vec.items()})
+            for vec in kernel_dicts(rows, dn * dm)]
 
 
 def radical_vectors(m):
@@ -609,10 +590,10 @@ def _meataxe(m):
     """End(M)-driven decomposition of a module with no free part: M is
     indecomposable when End(M)/rad is Q (the local-End certificate), and
     every other M goes to _meataxe_idempotent."""
-    endos = hom_basis(m, m).basis
+    endos = hom_basis(m, m)
     if len(endos) == 1:
         return [m]
-    rad = _end_radical(endos)
+    rad = trace_form_radical(endos)
     if len(endos) - len(rad) == 1:
         return [m]
     return _meataxe_idempotent(m, endos, rad)
@@ -627,26 +608,6 @@ def _fitting_split(m, theta):
         return None
     return (submodule(m, n.transpose().int_rows())[0],
             submodule(m, kernel_basis(n))[0])
-
-
-def _end_radical(endos):
-    """Radical of End(M), in coordinates of the basis endos.
-
-    It is the radical of the trace form (x, y) -> tr_M(xy): over Q that
-    form's radical is a nil ideal and contains every nil ideal, because
-    End(M) acts faithfully on M and contains the identity.
-    """
-    n = len(endos)
-    ints = [e.int_form() for e in endos]
-    transposed = [{(b, a): v for (a, b), v in t.items()} for t, _ in ints]
-    gram = {}
-    for i, (ti, di) in enumerate(ints):
-        for j in range(i, n):
-            tj = transposed[j]
-            s = sum(v * tj[k] for k, v in ti.items() if k in tj)
-            if s:
-                gram[(i, j)] = gram[(j, i)] = Rat(s, di * ints[j][1])
-    return kernel_basis(RatMatrix(n, n, gram))
 
 
 def _meataxe_idempotent(m, endos, rad):
@@ -722,7 +683,7 @@ def is_isomorphic(m, n):
         return True, RatMatrix.zeros(0, 0)
     if m is n:
         return True, RatMatrix.identity(m.dim)
-    for t in hom_basis(m, n).basis:
+    for t in hom_basis(m, n):
         if t.rank() == m.dim:
             return True, t
     return False, None

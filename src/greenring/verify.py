@@ -135,18 +135,18 @@ def suite_fusion(max_s=4, max_n=4, etas=None):
     ok = True
     for r in (0, 1):
         mod = realize(IndecLabel.simple(r), "K2")
-        for k in range(5):
+        for k in range(max_s + 1):
             cover, _ = projective_cover(mod)
             want = IndecLabel.proj((r + k) % 2)
             got = identify(cover)
             ok = ok and got == [want] * (k + 1)
-            if k < 4:
+            if k < max_s:
                 mod = realize(IndecLabel.syz_pos(k + 1, r), "K2")
     res.check("minimal resolution: cover of Omega^k V(r) is "
-              "(k+1) P(r+p(k)) for k = 0..4", ok)
-    res.check("dim Omega^{+-s}V(r) = 2s+1 for s <= 4",
-              all(syzygy(k, r).dim == 2 * abs(k) + 1
-                  for r in (0, 1) for k in (1, 2, 3, 4, -1, -2, -3, -4)))
+              f"(k+1) P(r+p(k)) for k = 0..{max_s}", ok)
+    res.check(f"dim Omega^{{+-s}}V(r) = 2s+1 for s <= {max_s}",
+              all(syzygy(k, r).dim == 2 * abs(k) + 1 for r in (0, 1)
+                  for s in range(1, max_s + 1) for k in (s, -s)))
 
     # criterion 5: the r0 correspondence at n = 1
     st_labels = [IndecLabel.steinberg(r) for r in (0, 1)]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from greenring.cli import eval_as_green, eval_as_module, main, parse_expr
+from greenring.cli import (MAX_LABEL_DIM, eval_as_green, eval_as_module, main,
+                           parse_expr)
 from greenring.errors import ExprSyntaxError
 from greenring.indec import IndecLabel, realize
 from test_indec import repeated_summand_module
@@ -33,6 +34,25 @@ def test_fuse_agreement(capsys):
     out = capsys.readouterr().out
     assert "oracle:" in out and "closed form:" in out
     assert out.count("2*P(1) + M(2,1,1)") == 2
+
+
+@pytest.mark.parametrize("expr", ["O(+4,0)*O(+5,0)", "O(+8,0)*O(+8,0)",
+                                  "O(-4,1)*O(-5,0)", "O(+9,0)*V(0)"])
+def test_fuse_products_of_deep_syzygies(expr, capsys):
+    """Products whose oracle realizes or identifies O(+-s) with s > 8."""
+    assert main(["--json", "fuse", expr]) == 0
+    assert json.loads(capsys.readouterr().out)["agreement"] is True
+
+
+def test_fuse_refuses_a_label_above_the_size_limit(capsys):
+    assert MAX_LABEL_DIM == 64
+    assert main(["fuse", "O(+40,0)*V(0)"]) == 2
+    err = capsys.readouterr().err
+    assert "O(+40,0) has dimension 81" in err and "Traceback" not in err
+    assert main(["negligible", "M(33,0,1)"]) == 2
+    # the closed form builds no module, so green-mul has no limit
+    assert main(["green-mul", "O(+40,0)*V(0)"]) == 0
+    assert capsys.readouterr().out.strip() == "O(+40,0)"
 
 
 def test_fuse_json(capsys):

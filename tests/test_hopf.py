@@ -2,9 +2,11 @@
 
 import pytest
 
+from greenring import hopf
 from greenring.errors import OutOfRange
-from greenring.hopf import (build_dk1, build_km, check_hopf_axioms,
-                            get_algebra, jacobson_radical)
+from greenring.hopf import (HopfAlgebraData, build_dk1, build_km,
+                            check_hopf_axioms, get_algebra, jacobson_radical)
+from greenring.ratlin import ONE, ZERO, span_basis
 
 
 def test_dimensions():
@@ -29,6 +31,39 @@ def test_axioms_km():
 def test_axioms_dk1():
     report = check_hopf_axioms(build_dk1())
     assert report.ok, report.lines()
+
+
+def _k2_with(comult_x1=None, antipode_x1=None):
+    """K2 from its generator data, with Delta(x1) or S(x1) replaced."""
+    words = hopf._increasing_words(3)
+    i = words.index
+    comult = [{(i((0,)), i((0,))): ONE}] + [
+        {(i((0,)), i((g,))): ONE, (i((g,)), i(())): ONE} for g in (1, 2)]
+    antipode = [{i((0,)): ONE}] + [{i((0, g)): -ONE} for g in (1, 2)]
+    if comult_x1 is not None:
+        comult[1] = {(i(p), i(q)): c for (p, q), c in comult_x1.items()}
+    if antipode_x1 is not None:
+        antipode[1] = {i(w): c for w, c in antipode_x1.items()}
+    return HopfAlgebraData("K2", ["K", "x1", "x2"], words,
+                           hopf._km_rewrite(2), comult, [ONE, ZERO, ZERO],
+                           antipode)
+
+
+def _failures(report):
+    return {name for name, (ok, _) in report.results.items() if not ok}
+
+
+def test_axioms_fail_on_broken_structures():
+    assert _failures(check_hopf_axioms(_k2_with())) == set()
+    # Delta(x1) = x1 (x) 1 + 1 (x) x1 is coassociative and counital, but
+    # not multiplicative: it breaks x1 x2 = -x2 x1
+    bad_delta = check_hopf_axioms(
+        _k2_with(comult_x1={((1,), ()): ONE, ((), (1,)): ONE}))
+    assert _failures(bad_delta) == {"bialgebra compatibility", "antipode"}
+    assert "FAIL antipode: x1" in bad_delta.lines()
+    bad_s = check_hopf_axioms(_k2_with(antipode_x1={(0, 1): ONE}))
+    assert _failures(bad_s) == {"antipode"}
+    assert "FAIL antipode: x1" in bad_s.lines()
 
 
 def test_defining_relations_k2():
@@ -63,6 +98,14 @@ def test_radical_dimensions():
     assert len(jacobson_radical(build_km(1))) == 2
     assert len(jacobson_radical(build_km(2))) == 6
     assert len(jacobson_radical(build_dk1())) == 6
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_km_radical_is_the_span_of_odd_words(m):
+    a = build_km(m)
+    odd = [{a.index[w]: ONE} for w in a.words if any(w)]
+    assert len(odd) == 2 ** (m + 1) - 2
+    assert span_basis(jacobson_radical(a)) == span_basis(odd)
 
 
 def test_get_algebra():

@@ -5,10 +5,10 @@ import pytest
 from greenring.errors import ZeroMap
 from greenring.indec import IndecLabel, identify, realize
 from greenring.projcat import (build_skeleton, has_simple_image_direct,
-                               has_simple_image_lemma, object_from_map,
-                               skeleton_check, verify_auslander_iso)
+                               has_simple_image_lemma, skeleton_check,
+                               verify_auslander_iso)
 from greenring.ratlin import RatMatrix
-from greenring.rep import hom_basis
+from greenring.rep import hom_basis, submodule
 
 
 def test_skeleton_objects():
@@ -79,8 +79,8 @@ def test_simple_image_examples():
     assert has_simple_image_direct(soc, p0, p0)
 
 
-def test_object_from_map_recovers_syzygy_pieces():
+def test_image_of_the_socle_map_is_simple():
     p0 = realize(IndecLabel.proj(0), "K2")
     soc = p0.word_action(p0.algebra.index[(1, 2)])
-    img = object_from_map(soc, p0, p0)
+    img, _ = submodule(p0, soc.col_dicts())
     assert identify(img) == [IndecLabel.simple(0)]
