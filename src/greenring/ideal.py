@@ -9,10 +9,12 @@ plus a default value.
 The base case is the negligible ideal: M is negligible when the pivotal
 quantum trace T -> tr(rho(pivot) . T) vanishes on all of End(M); the
 pivot is the group-like K (the generator b over DK1).  End(M) is the
-kernel of the intertwining constraints C (rep.hom_rows), and a linear
-functional vanishes on ker C exactly when it lies in the row space of C,
-so negligibility is one row-space membership test, with no basis of
-End(M) built.
+kernel of the intertwining constraints C (rep.hom_rows) over their live
+unknowns -- every other unknown vanishes on End(M), so the trace
+functional is restricted to the live ones -- and a linear functional
+vanishes on ker C exactly when it lies in the row space of C, so
+negligibility is one row-space membership test, with no basis of End(M)
+built.
 """
 
 from __future__ import annotations
@@ -208,14 +210,18 @@ def is_negligible(m):
 
     With K the pivot matrix and T vectorized as in rep.hom_rows (unknown
     i * d + j is T[i, j]), tr(K T) = sum of K[j, i] T[i, j] is the
-    functional phi with phi[i * d + j] = K[j, i].  End(M) = ker C for the
-    constraint rows C, and phi vanishes on ker C iff phi is in row(C),
-    because the annihilator of ker C is (ker C)-perp = row(C).
+    functional phi with phi[i * d + j] = K[j, i].  End(M) is the kernel of
+    the constraint rows C over the live unknowns, every other unknown
+    being 0 on End(M); so only phi's entries on live unknowns matter, and
+    phi vanishes on ker C iff that restriction is in row(C), because the
+    annihilator of ker C is (ker C)-perp = row(C).
     """
     d = m.dim
+    rows, live = hom_rows(m, m)
     piv, _ = _pivot_matrix(m).int_form()  # a positive multiple of K
-    phi = {i * d + j: v for (j, i), v in piv.items()}
-    return in_row_space(hom_rows(m, m), phi, d * d)
+    live = set(live)
+    phi = {i * d + j: v for (j, i), v in piv.items() if i * d + j in live}
+    return in_row_space(rows, phi, d * d)
 
 
 def is_quasi_dominated(m):

@@ -326,11 +326,11 @@ def trace_form_radical(mats):
 # its unknown is zero, so that column becomes the pivot {c: 1} and is
 # dropped from every other row, which may leave new one-entry rows; this
 # repeats until none is left.  Dropping a column c whose unit row e_c is
-# in the row space leaves the row space unchanged.  The diagonal K of
-# every realized module makes about a third of the rows of a hom system
-# such one-entry rows.  A module given in another basis reaches this too:
-# rep.decompose first moves a K-type module to a K-eigenbasis, and every
-# piece it splits off keeps a diagonal K.  Only what is left goes through
+# in the row space leaves the row space unchanged.  A generator that acts
+# diagonally on both modules never gets here: rep.hom_rows reads it as a
+# grading and leaves the unknowns it forces to zero out of the system.
+# The one-entry rows met here come from the other generators, such as an
+# x-row that meets a single live unknown.  Only what is left goes through
 # the sparsest-first elimination.
 #
 # The back pass is output-sensitive: it costs one elimination per pivot
@@ -473,16 +473,16 @@ def _echelon(rows, reduced=True):
     return cols, [pivots[c] for c in cols]
 
 
-def _rref_kernel(pivot_cols, pivot_rows, ncols):
-    """Kernel basis of the columns < ncols of a reduced echelon form whose
-    pivots all lie below ncols: one sparse dict per free column, in
-    ascending order, each with entry 1 at its free column."""
+def _rref_kernel(pivot_cols, pivot_rows, cols):
+    """Kernel basis over the columns cols, ascending, of a reduced echelon
+    form whose pivots all lie in cols: one sparse dict per free column of
+    cols, in order, each with entry 1 at its free column."""
     pivot_set = set(pivot_cols)
-    kernel = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
+    kernel = {f: {f: ONE} for f in cols if f not in pivot_set}
     for c, row in zip(pivot_cols, pivot_rows):
         p = row[c]
         for f, w in row.items():
-            vec = kernel.get(f)  # None at pivots and at columns >= ncols
+            vec = kernel.get(f)  # None at pivots and at columns not in cols
             if vec is not None:
                 vec[c] = Rat(-w, p)
     return list(kernel.values())
@@ -504,7 +504,7 @@ def kernel_dicts(rows, ncols):
     """Kernel basis of the linear system given by sparse integer rows (which
     are consumed), as sparse Rat dicts: one per free column in ascending order, each with entry 1 at
     its free column -- the reduced echelon normal form of the kernel."""
-    return _rref_kernel(*_echelon(rows), ncols)
+    return _rref_kernel(*_echelon(rows), range(ncols))
 
 
 def kernel_basis(a):
@@ -555,7 +555,7 @@ def solve_linear(a, b):
          for c, row in zip(pivot_cols, pivot_rows) if aug in row}
     # aug is no pivot, so the rows without their aug entries are the
     # reduced echelon form of A itself
-    return x, _rref_kernel(pivot_cols, pivot_rows, a.cols)
+    return x, _rref_kernel(pivot_cols, pivot_rows, range(a.cols))
 
 
 class SpanRREF:

@@ -5,11 +5,16 @@ tensor products through the coproduct, duals through the antipode, hom
 spaces, radical/socle, projective covers and the full decomposition into
 indecomposables -- is exact linear algebra on those matrices.
 
+Hom spaces: a generator that acts diagonally on both modules grades the
+intertwining system, so hom_rows leaves out every unknown T[i, j] at
+which its two eigenvalues differ, and emits rows only for the other
+generators.
+
 Decomposition strategy: over K2-type algebras M is first moved to a
 K-eigenbasis (K^2 = 1, so the two eigenspaces span M).  Summands inherit
 the diagonal K, because in such a basis the reduced echelon basis of a
 K-stable subspace is the union of those of its two eigenspace parts; so
-every hom system solved under decompose gets forced zeros.  Then the
+K grades every hom system solved under decompose.  Then the
 projective summands are split off (the top odd word acts nonzero exactly
 on them, and the free part, spanned by the odd words applied to
 preimages of its image, splits because the algebra is self-injective);
@@ -34,7 +39,7 @@ from .errors import (AlgebraMismatch, GreenRingError, InvalidModule,
                      NonSplitField, OutOfRange, Unclassified)
 from .hopf import build_km, get_algebra, jacobson_radical
 from .ratlin import (ONE, ZERO, Rat, RatMatrix, _echelon, _normalized,
-                     block_diag, kernel_basis, kernel_dicts,
+                     _rref_kernel, block_diag, kernel_basis, kernel_dicts,
                      kronecker_product, minimal_polynomial, rat_from_str,
                      rat_to_str, rational_roots, span_basis,
                      span_coordinates, squarefree_part, trace_form_radical)
@@ -242,54 +247,84 @@ def direct_sum(mods, algebra=None):
 
 def hom_rows(m, n):
     """The intertwining constraints T rho_M(g) = rho_N(g) T, as sparse
-    integer rows over the unknowns of T.
+    integer rows over the live unknowns of T; returns (rows, live).
 
     T is vectorized row-major over (target row, source col), so unknown
-    i * dim M + j is T[i, j]; Hom(M, N) is the kernel of these rows.
+    i * dim M + j is T[i, j].  A generator that acts diagonally on both M
+    and N grades the system: its constraint T[i, j] (a_M[j, j] - a_N[i, i])
+    = 0 only says that T[i, j] = 0 where its eigenvalues at j and at i
+    differ.  The live unknowns, ascending, are those whose two eigenvalues
+    agree under every grading generator, and rows are the constraints of
+    the other generators restricted to them; no row is emitted for a
+    grading generator.  Hom(M, N) is the kernel of rows over live, with
+    every other unknown 0.  When no generator is diagonal on both modules
+    every unknown is live, and the rows are all the constraints.
     """
     _same_algebra(m, n)
     dm, dn = m.dim, n.dim
-    rows = {}
+    grading, others = [], []
     for lbl, _ in m.algebra.generators:
-        # T am - an T = 0, scaled to integer coefficients
-        am, da = m.actions[lbl].int_form()
-        an, dan = n.actions[lbl].int_form()
+        pair = m.actions[lbl].int_form(), n.actions[lbl].int_form()
+        diagonal = all(i == j for ints, _ in pair for i, j in ints)
+        (grading if diagonal else others).append(pair)
+    # exact eigenvalue keys: a_M[j, j] = am[j, j] / da equals
+    # a_N[i, i] = an[i, i] / dan iff am[j, j] * dan == an[i, i] * da
+    key_m = [tuple(am.get((j, j), 0) * dan for (am, _), (_, dan) in grading)
+             for j in range(dm)]
+    key_n = [tuple(an.get((i, i), 0) * da for (_, da), (an, _) in grading)
+             for i in range(dn)]
+    # eigenvalue classes: T[i, j] is live iff cls_n[i] == cls_m[j]
+    ids = {}
+    cls_m = [ids.setdefault(k, len(ids)) for k in key_m]
+    cls_n = [ids.setdefault(k, len(ids)) for k in key_n]
+    members = [[] for _ in ids]  # the j of each class
+    for j, c in enumerate(cls_m):
+        members[c].append(j)
+    live = [i * dm + j for i, c in enumerate(cls_n) for j in members[c]]
+    rows = []
+    for (am, da), (an, dan) in others:
+        # (T am - an T)[i, b] = 0, scaled to integer coefficients: T[i, j]
+        # meets column b of am, and T[k, b] row i of an; each list is split
+        # by the class of j or k, so only live unknowns are read
         den = lcm(da, dan)
         fm, fn = den // da, den // dan
+        am_cols = [{} for _ in range(dm)]
         for (j, b), v in am.items():
-            v *= fm
-            for i in range(dn):
-                key = (lbl, i, b)
-                r = rows.setdefault(key, {})
-                u = i * dm + j
-                nv = r.get(u, 0) + v
-                if nv:
-                    r[u] = nv
-                else:
-                    del r[u]
+            am_cols[b].setdefault(cls_m[j], []).append((j, v * fm))
+        an_rows = [{} for _ in range(dn)]
         for (i, k), v in an.items():
-            v *= fn
-            for b in range(dm):
-                key = (lbl, i, b)
-                r = rows.setdefault(key, {})
-                u = k * dm + b
-                nv = r.get(u, 0) - v
-                if nv:
-                    r[u] = nv
-                else:
-                    del r[u]
-    return list(rows.values())
+            an_rows[i].setdefault(cls_n[k], []).append((k, -v * fn))
+        # the b whose column of am meets class c
+        meets = [[] for _ in ids]
+        for b, col in enumerate(am_cols):
+            for c in col:
+                meets[c].append(b)
+        for i, ci in enumerate(cls_n):
+            base, an_row = i * dm, an_rows[i]
+            bs = set(meets[ci]).union(*(members[c] for c in an_row))
+            for b in sorted(bs):
+                first, second = am_cols[b].get(ci), an_row.get(cls_m[b])
+                row = {base + j: v for j, v in first or ()}
+                for k, v in second or ():
+                    u = k * dm + b
+                    nv = row.get(u, 0) + v
+                    if nv:
+                        row[u] = nv
+                    else:
+                        del row[u]
+                if row:
+                    rows.append(row)
+    return rows, live
 
 
 def hom_basis(m, n):
     """A basis of all T with T rho_M(g) = rho_N(g) T, in echelon normal
-    form: the kernel of hom_rows(m, n), solved as one sparse system."""
-    rows = hom_rows(m, n)
+    form: the kernel of hom_rows(m, n) over its live unknowns, solved as
+    one sparse system; every unknown that is not live is 0."""
+    rows, live = hom_rows(m, n)
     dm, dn = m.dim, n.dim
-    if dm == 0 or dn == 0:
-        return []
     return [RatMatrix(dn, dm, {divmod(u, dm): v for u, v in vec.items()})
-            for vec in kernel_dicts(rows, dn * dm)]
+            for vec in _rref_kernel(*_echelon(rows), live)]
 
 
 def radical_vectors(m):

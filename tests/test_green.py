@@ -70,6 +70,27 @@ def test_closed_form_matches_oracle_k2_sample():
             assert green_mul_labels(a, b) == green_mul_oracle(a, b), (a, b)
 
 
+def _syzygy(sign, s, r):
+    return (IndecLabel.syz_pos if sign > 0 else IndecLabel.syz_neg)(s, r)
+
+
+def _syzygy_products(max_sum, r_pairs):
+    """Every O(+-s,ra) * O(+-n,rb) with s, n >= 1, s + n <= max_sum."""
+    return [(_syzygy(sa, s, ra), _syzygy(sb, n, rb))
+            for s in range(1, max_sum) for n in range(1, max_sum - s + 1)
+            for sa in (1, -1) for sb in (1, -1) for ra, rb in r_pairs]
+
+
+def test_closed_form_matches_oracle_on_deep_syzygy_products():
+    """Products of syzygies reach O(+-(s+n)): the oracle identifies every
+    one of them, down to depth 16, and agrees with the closed form."""
+    products = (_syzygy_products(16, [(0, 0)])
+                + _syzygy_products(6, [(0, 1), (1, 0), (1, 1)]))
+    assert len(products) == 480 + 180
+    for a, b in products:
+        assert green_mul_labels(a, b) == green_mul_oracle(a, b), (a, b)
+
+
 def test_closed_form_matches_oracle_dk1_sample():
     sample = [IndecLabel.steinberg(0), IndecLabel.steinberg(1),
               IndecLabel.simple(1), IndecLabel.proj(0),

@@ -182,6 +182,28 @@ def test_negligible_matches_traces_over_dk1():
     assert not is_negligible(tensor(o, o))
 
 
+def test_negligible_matches_traces_with_a_non_diagonal_pivot():
+    """DK1 sums scrambled inside the eigenspaces of c: c still grades the
+    hom system, while the pivot b is no longer diagonal."""
+    cases = [(("O(+1,0)", "St(1)"), False), (("M(1,0,0)", "St(1)"), True),
+             (("P(0)", "St(0)"), True)]
+    rng = random.Random(5)
+    for texts, negligible in cases:
+        m = direct_sum([realize(IndecLabel.parse(t), "DK1") for t in texts])
+        c = m.actions["c"]
+        steps = []
+        while len(steps) < m.dim:
+            i, j = rng.sample(range(m.dim), 2)
+            if c[i, i] == c[j, j]:
+                steps.append((i, j, rng.choice((-1, 1))))
+        s = conjugated(m, steps)
+        assert check_module(s).ok
+        assert s.actions["c"] == c  # g commutes with c
+        assert any(i != j for i, j in s.actions["b"].data), "b is diagonal"
+        assert is_negligible(s) == negligible_by_traces(s) == negligible, \
+            texts
+
+
 def test_zero_module_is_negligible():
     z = zero_module(realize(IndecLabel.simple(0), "K2").algebra)
     assert is_negligible(z) and negligible_by_traces(z)

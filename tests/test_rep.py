@@ -1,6 +1,8 @@
 """Module operations: tensor, dual, hom, covers, decomposition."""
 
 import random
+from collections import Counter
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from greenring.green import STANDARD_ETAS, green_mul_labels
 from greenring.hopf import build_dk1, build_km
 from greenring.ideal import is_negligible
 from greenring.indec import EtaPoint, IndecLabel, identify, realize
-from greenring.ratlin import (Rat, RatMatrix, kernel_basis, solve_linear,
-                              span_basis, span_coordinates)
+from greenring.ratlin import (Rat, RatMatrix, kernel_basis, kernel_dicts,
+                              solve_linear, span_basis, span_coordinates)
 from greenring.verify import _k2_labels
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
                            dual, hom_basis, injective_hull, is_isomorphic,
@@ -261,6 +263,101 @@ def test_peel_needs_a_diagonal_k():
     # decompose moves M to a K-eigenbasis first, so it peels the same P
     parts = decompose(m)
     assert len(parts) == 1 and is_isomorphic(parts[0], P(1))[0]
+
+
+# -- the graded hom system against the ungraded one -------------------
+
+
+def ungraded_hom_rows(m, n):
+    """Every intertwining constraint T rho_M(g) = rho_N(g) T, one integer
+    row per (generator, target row i, source column b), over all
+    dim M * dim N unknowns: the system with no generator read as a
+    grading.  Unknown i * dim M + j is T[i, j]."""
+    dm, dn = m.dim, n.dim
+    rows = {}
+    for lbl, _ in m.algebra.generators:
+        am, da = m.actions[lbl].int_form()
+        an, dan = n.actions[lbl].int_form()
+        den = lcm(da, dan)
+        for (j, b), v in am.items():
+            for i in range(dn):
+                r = rows.setdefault((lbl, i, b), {})
+                r[i * dm + j] = r.get(i * dm + j, 0) + v * (den // da)
+        for (i, k), v in an.items():
+            for b in range(dm):
+                r = rows.setdefault((lbl, i, b), {})
+                r[k * dm + b] = r.get(k * dm + b, 0) - v * (den // dan)
+    return [{u: v for u, v in r.items() if v} for r in rows.values()]
+
+
+def reference_hom_basis(m, n):
+    dm, dn = m.dim, n.dim
+    return [RatMatrix(dn, dm, {divmod(u, dm): v for u, v in vec.items()})
+            for vec in kernel_dicts(ungraded_hom_rows(m, n), dm * dn)]
+
+
+def expected_live(m, n):
+    """The sum over eigenvalue classes of dim_N(class) * dim_M(class), for
+    the generators that act diagonally on both modules."""
+    grading = [lbl for lbl, _ in m.algebra.generators
+               if all(i == j for x in (m, n) for i, j in x.actions[lbl].data)]
+
+    def classes(x):
+        return Counter(tuple(x.actions[g][i, i] for g in grading)
+                       for i in range(x.dim))
+
+    cm, cn = classes(m), classes(n)
+    return sum(cn[key] * cm[key] for key in cm)
+
+
+def _graded_pairs():
+    rng = random.Random(11)
+    k2 = [realize(IndecLabel.parse(t), "K2") for t in (
+        "V(0)", "V(1)", "P(0)", "P(1)", "O(+1,0)", "O(-2,1)", "M(1,0,2/3)",
+        "M(2,1,inf)")]
+    products = [tensor(k2[4], realize(IndecLabel.syz_neg(1, 1), "K2")),
+                tensor(k2[6], realize(IndecLabel.syz_pos(2, 0), "K2")),
+                tensor(k2[2], k2[1])]
+    k2 += products
+    dk1 = [realize(IndecLabel.parse(t), "DK1") for t in (
+        "St(0)", "St(1)", "V(1)", "P(0)", "O(+1,0)", "M(1,0,0)")]
+    dk1.append(tensor(dk1[4], dk1[1]))
+    scrambled = [_basis_changed(x, rng) for x in (k2[4], products[0])]
+    # not modules, but hom_rows reads any actions: diagonal Ks that share
+    # the eigenvalue 1/2, stored as 1 over den 2 and as 3 over den 6
+    half, third = Rat(1, 2), Rat(1, 3)
+    fractional = [_k2_module([[half, 0, 0], [0, 1, 0], [0, 0, half]]),
+                  _k2_module([[third, 0], [0, half]])]
+    return ([(a, b) for a in k2 for b in k2]
+            + [(a, b) for a in fractional for b in fractional]
+            + [(a, b) for a in dk1 for b in dk1]
+            + [(x, x) for x in scrambled]
+            + [(k2[4], scrambled[0]), (scrambled[0], k2[4]),
+               (products[0], scrambled[1])])
+
+
+def test_hom_basis_equals_the_ungraded_kernel():
+    """The graded system has the ungraded one's kernel in the same normal
+    form, on realized K2 and DK1 modules, their tensor products, scrambled
+    modules with a non-diagonal K, and mixed pairs of the two."""
+    pruned = 0
+    for m, n in _graded_pairs():
+        live = rep.hom_rows(m, n)[1]
+        assert len(live) == expected_live(m, n)
+        assert live == sorted(live)
+        pruned += len(live) < m.dim * n.dim
+        assert hom_basis(m, n) == reference_hom_basis(m, n), (m, n)
+    assert pruned > 0
+
+
+def test_a_non_diagonal_k_prunes_nothing():
+    rng = random.Random(4)
+    m = realize(IndecLabel.syz_pos(1, 0), "K2")
+    for a, b in ((m, m), (m, tensor(m, m))):
+        a, b = _basis_changed(a, rng), _basis_changed(b, rng)
+        assert any(i != j for i, j in a.actions["K"].int_form()[0])
+        assert rep.hom_rows(a, b)[1] == list(range(a.dim * b.dim))
+        assert hom_basis(a, b) == reference_hom_basis(a, b)
 
 
 # -- elimination never writes to a matrix's integer store -------------
