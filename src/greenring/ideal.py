@@ -215,7 +215,13 @@ def is_negligible(m):
     being 0 on End(M); so only phi's entries on live unknowns matter, and
     phi vanishes on ker C iff that restriction is in row(C), because the
     annihilator of ker C is (ker C)-perp = row(C).
+
+    The identity is in End(M) and tr(K id) = qdim(M), so a nonzero qdim
+    is an exact certificate that M is not negligible, read before any
+    system is built.
     """
+    if qdim(m):
+        return False
     d = m.dim
     rows, live = hom_rows(m, m)
     piv, _ = _pivot_matrix(m).int_form()  # a positive multiple of K

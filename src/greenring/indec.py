@@ -339,7 +339,7 @@ def syzygy(k, r):
     else:
         for _ in range(-k):
             hull, emb = injective_hull(m)
-            m, _ = quotient_module(hull, emb.col_dicts())
+            m, _ = quotient_module(hull, emb.transpose().int_rows())
     return m
 
 
@@ -419,7 +419,8 @@ def _k2_candidate(m):
     V(r) and O(+-s,r) tr K = (-1)^(r+s); on M(n,r,eta) sigma = (-1)^r.
     """
     d = m.dim
-    signs = [m.actions["K"][j, j] for j in range(d)]
+    k_diag, _ = m.actions["K"].int_form()  # a positive multiple of K
+    signs = [k_diag.get((j, j), 0) for j in range(d)]
     x12 = m.word_action(m.algebra.index[(1, 2)])
     if not x12.is_zero():
         i, _ = next(iter(x12.int_form()[0]))

@@ -308,7 +308,7 @@ def has_simple_image_direct(phi, source, target):
     """Is im(phi) simple, computed on the module itself?"""
     if phi.is_zero():
         raise ZeroMap("the criterion applies to nonzero maps")
-    img, _ = submodule(target, phi.col_dicts())
+    img, _ = submodule(target, phi.transpose().int_rows())
     if radical_vectors(img):
         return False
     return len(decompose(img)) == 1

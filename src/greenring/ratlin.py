@@ -12,6 +12,16 @@ is far cheaper than rational arithmetic; the public contract is the
 dense one: a rows x cols grid of rationals, made only where a caller
 reads entries.  Vectors are sparse dicts index -> nonzero Rat, and the
 elimination core takes integer rows.
+
+Integers run end to end: the elimination core returns primitive integer
+pivot rows, and kernel vectors as integers over their own denominators;
+every RatMatrix built from them (hom bases, inclusions, projections,
+tensor actions) is made from integers over one denominator by
+_normalized.  Rats are made only at the edges: where a caller reads
+entries (__getitem__, to_rows, row_dicts, data), in scalar results
+(trace, trace_product), in the vectors of kernel_dicts, kernel_basis and
+solve_linear (one division per entry), in RatMatrix.apply, and in the
+polynomial routines.
 """
 
 from __future__ import annotations
@@ -232,8 +242,10 @@ class RatMatrix:
 
 def _normalized(rows, cols, ints, den):
     """The RatMatrix ints / den (den > 0) in canonical form: zero entries
-    dropped and the gcd of den and the entries divided out."""
-    ints = {k: v for k, v in ints.items() if v}
+    dropped and the gcd of den and the entries divided out.  ints is a
+    fresh dict, which the matrix may keep as its store."""
+    if 0 in ints.values():
+        ints = {k: v for k, v in ints.items() if v}
     g = gcd(den, *ints.values())
     if g != 1:
         ints = {k: v // g for k, v in ints.items()}
@@ -254,6 +266,16 @@ def _placed(rows, cols, blocks):
             key = (i + r, j + c)
             ints[key] = ints.get(key, 0) + f * v
     return _normalized(rows, cols, ints, den)
+
+
+def _int_columns(rows, vecs):
+    """The rows x len(vecs) RatMatrix whose column k is ints / den, for
+    (ints, den) = vecs[k] with ints a sparse integer vector: all columns
+    are put over the lcm of the dens."""
+    den = lcm(*[d for _, d in vecs])
+    return _normalized(rows, len(vecs), {
+        (i, k): v * (den // d) for k, (vec, d) in enumerate(vecs)
+        for i, v in vec.items()}, den)
 
 
 def block_diag(mats):
@@ -288,7 +310,10 @@ def trace_product(a, b):
 def trace_form_radical(mats):
     """Radical of the trace form (x, y) -> tr(xy) on the span of the square
     matrices mats: the kernel of its Gram matrix tr(mats[i] mats[j]), in
-    coordinates of mats, as a kernel_basis.
+    coordinates of mats, as a kernel_basis.  With mats[i] = t_i / d_i, the
+    Gram entry is s_ij / (d_i d_j) for s_ij = tr(t_i t_j); row i times
+    d_i L, for L the lcm of the d_j, is the integer row s_ij L / d_j, and
+    the rows so scaled have the same kernel.
 
     When the span is a unital algebra B of matrices over Q, this is the
     Jacobson radical of B: the form's radical is a nil ideal and contains
@@ -297,14 +322,16 @@ def trace_form_radical(mats):
     n = len(mats)
     ints = [e.int_form() for e in mats]
     transposed = [{(b, a): v for (a, b), v in t.items()} for t, _ in ints]
-    gram = {}
+    den = lcm(*[d for _, d in ints])
+    rows = [{} for _ in range(n)]
     for i, (ti, di) in enumerate(ints):
         for j in range(i, n):
             tj = transposed[j]
             s = sum(v * tj[k] for k, v in ti.items() if k in tj)
             if s:
-                gram[(i, j)] = gram[(j, i)] = Rat(s, di * ints[j][1])
-    return kernel_basis(RatMatrix(n, n, gram))
+                rows[i][j] = s * (den // ints[j][1])
+                rows[j][i] = s * (den // di)
+    return kernel_dicts(rows, n)
 
 
 # -- elimination core ------------------------------------------------
@@ -316,7 +343,11 @@ def trace_form_radical(mats):
 # their entries and may return them as pivot rows, so a caller passes
 # fresh dicts, never a matrix's stored ints.  A RatMatrix gives them as
 # int_rows() (den times its rows: same row space and kernel), hom_rows
-# builds them, and a caller that holds Rat vectors scales each once.
+# builds them, and a caller that holds Rat vectors (rep.submodule and
+# rep.quotient_module, on some routes) scales each once.  The results stay
+# integers too: pivot rows are primitive integer rows, and _rref_kernel
+# gives each kernel vector as integers over the lcm of the pivot entries
+# it meets, so a caller builds a RatMatrix from them with _normalized.
 # Pivot choice: rows are consumed in the given order and each pivots on
 # its leftmost surviving column, which realizes the "first nonzero entry
 # by row-major scan" rule.  A reduced echelon form is unique, so the
@@ -326,9 +357,13 @@ def trace_form_radical(mats):
 # its unknown is zero, so that column becomes the pivot {c: 1} and is
 # dropped from every other row, which may leave new one-entry rows; this
 # repeats until none is left.  Dropping a column c whose unit row e_c is
-# in the row space leaves the row space unchanged.  A generator that acts
-# diagonally on both modules never gets here: rep.hom_rows reads it as a
-# grading and leaves the unknowns it forces to zero out of the system.
+# in the row space leaves the row space unchanged.  The forced set is the
+# least one closed under "a row with one entry outside it forces that
+# entry's column", so it does not depend on the order in which columns are
+# forced: a column -> rows index drops each forced column from just the
+# rows that hold it, in place.  A generator that acts diagonally on both
+# modules never gets here: rep.hom_rows reads it as a grading and leaves
+# the unknowns it forces to zero out of the system.
 # The one-entry rows met here come from the other generators, such as an
 # x-row that meets a single live unknown.  Only what is left goes through
 # the sparsest-first elimination.
@@ -345,11 +380,11 @@ def trace_form_radical(mats):
 # Column n is a pivot exactly when v reduces to zero against the other
 # rows, i.e. when v lies in their span (in_row_space).
 #
-# Every span is one _echelon call on sparse vectors: span_basis reads a
-# subspace's reduced basis off the pivot rows, and span_coordinates reads
-# coordinates in it off the pivot entries.  SpanRREF is the one
-# incremental route left, for the two callers that stop at the first
-# dependent vector (see its docstring).
+# Every span is one _echelon call on sparse vectors: rep.submodule and
+# rep.quotient_module read a subspace's reduced basis off the pivot rows,
+# and span_coordinates reads coordinates in it off the pivot entries.
+# SpanRREF is the one incremental route left, for the two callers that
+# stop at the first dependent vector (see its docstring).
 
 
 _INT = {int}
@@ -418,22 +453,32 @@ def _pivot_row(r):
 
 
 def _forced_zeros(rows, pivots):
-    """Take the forced zeros out of the integer rows (see above).
+    """Take the forced zeros out of the integer rows (see above), which it
+    modifies in place.
 
     Each forced column gets the pivot {c: 1} in pivots; returns the rows
     that are left, with those columns dropped, in their given order.
     """
     rows = [r for r in rows if r]
-    while True:
-        forced = {c for r in rows if len(r) == 1 for c in r}
-        if not forced:
-            return rows
-        for c in forced:
-            pivots[c] = {c: 1}
-        rows = [r if r.keys().isdisjoint(forced)
-                else {c: v for c, v in r.items() if c not in forced}
-                for r in rows]
-        rows = [r for r in rows if r]
+    todo = [c for r in rows if len(r) == 1 for c in r]
+    if not todo:
+        return rows
+    holding = {}  # col -> the rows that hold it
+    for r in rows:
+        for c in r:
+            holding.setdefault(c, []).append(r)
+    while todo:
+        c = todo.pop()
+        if c in pivots:
+            continue
+        pivots[c] = {c: 1}
+        # a column is dropped only once it is forced, so each of these
+        # rows still holds c
+        for r in holding[c]:
+            del r[c]
+            if len(r) == 1:
+                todo.extend(r)
+    return [r for r in rows if r]
 
 
 def _echelon(rows, reduced=True):
@@ -474,18 +519,30 @@ def _echelon(rows, reduced=True):
 
 
 def _rref_kernel(pivot_cols, pivot_rows, cols):
-    """Kernel basis over the columns cols, ascending, of a reduced echelon
-    form whose pivots all lie in cols: one sparse dict per free column of
-    cols, in order, each with entry 1 at its free column."""
+    """Kernel basis over the columns cols, ascending, of the reduced echelon
+    form given by _echelon's pivot rows, whose pivots all lie in cols: one
+    vector per free column f of cols, in order, 1 at f, -row[f] / row[c]
+    at the pivot c of each row that holds f, and 0 elsewhere.
+
+    Each vector comes as (ints, den), integers over den, the lcm of the
+    pivot entries row[c] it meets; ints / den need not be in lowest terms.
+    """
     pivot_set = set(pivot_cols)
-    kernel = {f: {f: ONE} for f in cols if f not in pivot_set}
+    meets = {f: [] for f in cols if f not in pivot_set}
     for c, row in zip(pivot_cols, pivot_rows):
         p = row[c]
         for f, w in row.items():
-            vec = kernel.get(f)  # None at pivots and at columns not in cols
-            if vec is not None:
-                vec[c] = Rat(-w, p)
-    return list(kernel.values())
+            held = meets.get(f)  # None at pivots and at columns not in cols
+            if held is not None:
+                held.append((c, w, p))
+    kernel = []
+    for f, held in meets.items():
+        den = lcm(*[p for _, _, p in held])
+        vec = {f: den}
+        for c, w, p in held:
+            vec[c] = -w * (den // p)
+        kernel.append((vec, den))
+    return kernel
 
 
 def in_row_space(rows, vec, ncols):
@@ -502,9 +559,11 @@ def in_row_space(rows, vec, ncols):
 
 def kernel_dicts(rows, ncols):
     """Kernel basis of the linear system given by sparse integer rows (which
-    are consumed), as sparse Rat dicts: one per free column in ascending order, each with entry 1 at
-    its free column -- the reduced echelon normal form of the kernel."""
-    return _rref_kernel(*_echelon(rows), range(ncols))
+    are consumed), as sparse Rat dicts: one per free column in ascending
+    order, each with entry 1 at its free column -- the reduced echelon
+    normal form of the kernel."""
+    return [_rats(vec, den)
+            for vec, den in _rref_kernel(*_echelon(rows), range(ncols))]
 
 
 def kernel_basis(a):
@@ -513,19 +572,12 @@ def kernel_basis(a):
     return kernel_dicts(a.int_rows(), a.cols)
 
 
-def span_basis(vectors):
-    """Reduced echelon basis of the span of sparse vectors: in ascending
-    pivot order, each 1 at its pivot (its least index) and 0 at the other
-    pivots.  A reduced echelon form is unique, so the basis depends only on
-    the span."""
-    return [_rats(r, r[c])
-            for c, r in zip(*_echelon([_scaled(v)[0] for v in vectors]))]
-
-
 def span_coordinates(incl, mat):
-    """X with incl X = mat, for incl a matrix whose columns are a
-    span_basis: X is mat's rows at the pivots of those columns.  Raises
-    NoSolution when a column of mat is outside their span."""
+    """X with incl X = mat, for incl a matrix whose columns are a reduced
+    echelon basis of their span -- each 1 at its pivot, its least index,
+    and 0 at the other pivots, as rep.submodule builds them: X is mat's
+    rows at those pivots.  Raises NoSolution when a column of mat is
+    outside their span."""
     pos = {min(col): k for k, col in enumerate(incl.transpose().int_rows())}
     ints, den = mat.int_form()
     coords = _normalized(incl.cols, mat.cols, {
@@ -555,7 +607,8 @@ def solve_linear(a, b):
          for c, row in zip(pivot_cols, pivot_rows) if aug in row}
     # aug is no pivot, so the rows without their aug entries are the
     # reduced echelon form of A itself
-    return x, _rref_kernel(pivot_cols, pivot_rows, range(a.cols))
+    return x, [_rats(vec, den) for vec, den
+               in _rref_kernel(pivot_cols, pivot_rows, range(a.cols))]
 
 
 class SpanRREF:

@@ -25,9 +25,11 @@ theta - lambda, for theta in a sample drawn from a basis of End(M)/rad
 and lambda a rational eigenvalue found by Sturm bisection.  Over DK1 the
 central involution bc splits the module first.
 
-Vectors are sparse dicts index -> Rat.  submodule and quotient_module take
-vectors that already span a submodule, and read its basis off one reduced
-echelon form (ratlin.span_basis).
+Vectors are sparse dicts index -> Rat or int.  submodule and
+quotient_module take vectors that already span a submodule, and read its
+basis off the primitive integer pivot rows of one ratlin._echelon call;
+they build the inclusion and the projection from those integers, as
+hom_basis builds its maps from integer kernel vectors, with no Rat made.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from math import lcm
 from .errors import (AlgebraMismatch, GreenRingError, InvalidModule,
                      NonSplitField, OutOfRange, Unclassified)
 from .hopf import build_km, get_algebra, jacobson_radical
-from .ratlin import (ONE, ZERO, Rat, RatMatrix, _echelon, _normalized,
-                     _rref_kernel, block_diag, kernel_basis, kernel_dicts,
-                     kronecker_product, minimal_polynomial, rat_from_str,
-                     rat_to_str, rational_roots, span_basis,
+from .ratlin import (ONE, ZERO, Rat, RatMatrix, _echelon, _int_columns,
+                     _normalized, _rref_kernel, _scaled, block_diag,
+                     kernel_basis, kernel_dicts, minimal_polynomial,
+                     rat_from_str, rat_to_str, rational_roots,
                      span_coordinates, squarefree_part, trace_form_radical)
 
 _radical_cache = {}
@@ -209,17 +211,34 @@ def check_module(m):
 
 
 def tensor(m, n):
-    """Tensor product along the coproduct of the common algebra."""
+    """Tensor product along the coproduct of the common algebra.
+
+    Each generator acts by the sum over its coproduct terms c (p (x) q) of
+    c rho_M(p) kron rho_N(q), summed in one integer pass over the lcm of
+    the terms' denominators.
+    """
     _same_algebra(m, n)
     a = m.algebra
+    dn = n.dim
+    dim = m.dim * dn
     actions = {}
     for g, (lbl, _) in enumerate(a.generators):
-        acc = RatMatrix.zeros(m.dim * n.dim, m.dim * n.dim)
+        terms = []  # (c, ints of p, ints of q, den of c p kron q)
         for (p, q), c in a.comult[a.index[(g,)]].items():
-            acc = acc + kronecker_product(m.word_action(p),
-                                          n.word_action(q)).scale(c)
-        actions[lbl] = acc
-    return ModuleRep(a, m.dim * n.dim, actions)
+            (pi, dp), (qi, dq) = (m.word_action(p).int_form(),
+                                  n.word_action(q).int_form())
+            terms.append((c, pi, qi, c.denominator * dp * dq))
+        den = lcm(*[d for *_, d in terms])
+        acc = {}
+        for c, pi, qi, d in terms:
+            f = c.numerator * (den // d)
+            for (i, j), v in pi.items():
+                fv, i0, j0 = f * v, i * dn, j * dn
+                for (k, l), w in qi.items():
+                    key = (i0 + k, j0 + l)
+                    acc[key] = acc.get(key, 0) + fv * w
+        actions[lbl] = _normalized(dim, dim, acc, den)
+    return ModuleRep(a, dim, actions)
 
 
 def dual(m):
@@ -323,14 +342,17 @@ def hom_basis(m, n):
     one sparse system; every unknown that is not live is 0."""
     rows, live = hom_rows(m, n)
     dm, dn = m.dim, n.dim
-    return [RatMatrix(dn, dm, {divmod(u, dm): v for u, v in vec.items()})
-            for vec in _rref_kernel(*_echelon(rows), live)]
+    return [_normalized(dn, dm, {divmod(u, dm): v for u, v in vec.items()},
+                        den)
+            for vec, den in _rref_kernel(*_echelon(rows), live)]
 
 
 def radical_vectors(m):
-    """Basis of rad(M) = J(A).M, as a span_basis."""
-    return span_basis([col for jvec in algebra_radical(m.algebra) for col
-                       in m.elem_action(jvec).transpose().int_rows()])
+    """Basis of rad(M) = J(A).M: its reduced echelon basis, each vector
+    scaled to a primitive integer vector, positive at its pivot (its least
+    index)."""
+    return _echelon([col for jvec in algebra_radical(m.algebra) for col
+                     in m.elem_action(jvec).transpose().int_rows()])[1]
 
 
 def socle_vectors(m):
@@ -344,16 +366,18 @@ def socle_vectors(m):
 def submodule(m, vectors):
     """Submodule spanned by the given sparse vectors, which must span one.
 
-    Returns (sub, inclusion): the inclusion's columns are the span_basis
-    of the vectors, and each generator acts on sub by the coordinates of
-    rho(g) . inclusion in that basis.  Raises NoSolution when the span is
-    not a submodule.
+    Returns (sub, inclusion): the inclusion's columns are the reduced
+    echelon basis of the span of the vectors -- each 1 at its pivot, its
+    least index, and 0 at the other pivots -- and each generator acts on
+    sub by the coordinates of rho(g) . inclusion in that basis.  Raises
+    NoSolution when the span is not a submodule.
     """
-    basis = span_basis(vectors)
-    incl = RatMatrix.from_columns(basis, m.dim)
+    cols, rows = _echelon([_scaled(v)[0] for v in vectors])
+    # basis vector k is pivot row k over its pivot entry
+    incl = _int_columns(m.dim, [(r, r[c]) for c, r in zip(cols, rows)])
     actions = {lbl: span_coordinates(incl, m.actions[lbl] * incl)
                for lbl, _ in m.algebra.generators}
-    return ModuleRep(m.algebra, len(basis), actions), incl
+    return ModuleRep(m.algebra, len(cols), actions), incl
 
 
 def quotient_module(m, vectors):
@@ -361,21 +385,23 @@ def quotient_module(m, vectors):
 
     Returns (quot, projection) with projection a (dim quot) x (dim M)
     matrix; the quotient carrier is the non-pivot coordinates of the
-    subspace's span_basis.
+    reduced echelon basis of the subspace.
     """
-    basis = span_basis(vectors)
-    pivots = {min(b) for b in basis}
+    cols, rows = _echelon([_scaled(v)[0] for v in vectors])
+    lead = lcm(*[r[c] for c, r in zip(cols, rows)])
+    pivots = set(cols)
     free = [j for j in range(m.dim) if j not in pivots]
     d = len(free)
     pos = {j: k for k, j in enumerate(free)}
-    # e_j mod the span: e_j itself for a free j, e_c - b_c for a pivot c
-    data = {(k, j): ONE for k, j in enumerate(free)}
-    for b in basis:
-        c = min(b)
-        for j, v in b.items():
+    # e_j mod the span: e_j itself for a free j, e_c - b_c for a pivot c,
+    # where b_c = r / r[c] is 0 at the other pivots; all over lead
+    data = {(k, j): lead for k, j in enumerate(free)}
+    for c, r in zip(cols, rows):
+        f = lead // r[c]
+        for j, v in r.items():
             if j != c:
-                data[(pos[j], c)] = -v
-    proj = RatMatrix(d, m.dim, data)
+                data[(pos[j], c)] = -v * f
+    proj = _normalized(d, m.dim, data, lead)
     actions = {}
     for lbl, _ in m.algebra.generators:
         ints, den = (proj * m.actions[lbl]).int_form()
@@ -440,9 +466,12 @@ def _k_halves(k_act):
 
 
 def _k_eigen_split(mat, dim):
-    """Eigenvectors of an involution matrix, as (plus_basis, minus_basis)."""
+    """Eigenvectors of an involution matrix, as (plus_basis, minus_basis):
+    the kernels of mat - I and mat + I in normal form, each vector an
+    (ints, den) pair of ratlin._rref_kernel."""
     ident = RatMatrix.identity(dim)
-    return kernel_basis(mat - ident), kernel_basis(mat + ident)
+    return tuple(_rref_kernel(*_echelon((mat + s).int_rows()), range(dim))
+                 for s in (-ident, ident))
 
 
 def _k_eigenbasis(m):
@@ -454,6 +483,7 @@ def _k_eigenbasis(m):
     0 at the other free columns of its kernel.  So the coordinate of x
     along it is entry f of the eigencomponent (x +- Kx)/2, and the rows of
     P^-1 are rows of (I + K)/2 and (I - K)/2: no elimination is needed.
+    Both P and P^-1 are built from integer rows.
     """
     k_act = m.actions["K"]
     if all(i == j for i, j in k_act.int_form()[0]):
@@ -463,13 +493,16 @@ def _k_eigenbasis(m):
         raise GreenRingError(
             "K does not act as an involution: its +1 and -1 eigenspaces "
             f"span {len(plus) + len(minus)} of {m.dim} dimensions")
-    rows = []  # the rows of P^-1
-    for half, vecs in zip(_k_halves(k_act), (plus, minus)):
-        half_rows = half.row_dicts()
-        rows += [half_rows[max(vec)] for vec in vecs]
-    p_inv = RatMatrix(m.dim, m.dim, {(i, j): v for i, row in enumerate(rows)
-                                     for j, v in row.items()})
-    p = RatMatrix.from_columns(plus + minus, m.dim)
+    halves = _k_halves(k_act)
+    den = lcm(*[h.int_form()[1] for h in halves])
+    rows = []  # the rows of P^-1, as integers over den
+    for half, vecs in zip(halves, (plus, minus)):
+        half_rows, f = half.int_rows(), den // half.int_form()[1]
+        rows += [{j: v * f for j, v in half_rows[max(vec)].items()}
+                 for vec, _ in vecs]
+    p_inv = _normalized(m.dim, m.dim, {(i, j): v for i, row in enumerate(rows)
+                                       for j, v in row.items()}, den)
+    p = _int_columns(m.dim, plus + minus)
     return ModuleRep(m.algebra, m.dim, {lbl: p_inv * a * p
                                         for lbl, a in m.actions.items()})
 
@@ -499,9 +532,10 @@ def _projective_cover_ktype(m):
     cover_blocks = []
     for r, eigvecs in ((0, plus), (1, minus)):
         proj_mod, incl = principal_projective(algebra, r)
-        for hv in eigvecs:
+        for hv, hden in eigvecs:
             # lift the head eigenvector, then project onto the K-eigenspace
-            v = halves[r].apply({free[k]: x for k, x in hv.items()})
+            v = halves[r].apply({free[k]: Rat(x, hden)
+                                 for k, x in hv.items()})
             # each basis vector of P(r), as an algebra element, applied to v
             cols = [m.elem_action(bcol).apply(v) for bcol in incl.col_dicts()]
             cover_blocks.append(RatMatrix.from_columns(cols, m.dim))
@@ -588,7 +622,8 @@ def _peel_projectives(m):
                                        for cols in odd])
     if remainder.dim != m.dim - len(pivots) * len(odd):
         raise GreenRingError("free submodule has wrong dimension")
-    return [principal_projective(algebra, 0 if k_act[j, j] > 0 else 1)[0]
+    k_diag, _ = k_act.int_form()  # a positive multiple of K
+    return [principal_projective(algebra, 0 if k_diag[j, j] > 0 else 1)[0]
             for j in pivots], remainder
 
 
@@ -641,8 +676,10 @@ def _fitting_split(m, theta):
     n = theta.power(2 ** (m.dim - 1).bit_length())
     if not 0 < n.rank() < m.dim:
         return None
+    # the kernel vectors as integers: scaling a vector keeps the span
+    kernel = _rref_kernel(*_echelon(n.int_rows()), range(m.dim))
     return (submodule(m, n.transpose().int_rows())[0],
-            submodule(m, kernel_basis(n))[0])
+            submodule(m, [vec for vec, _ in kernel])[0])
 
 
 def _meataxe_idempotent(m, endos, rad):

@@ -6,7 +6,7 @@ from greenring import hopf
 from greenring.errors import OutOfRange
 from greenring.hopf import (HopfAlgebraData, build_dk1, build_km,
                             check_hopf_axioms, get_algebra, jacobson_radical)
-from greenring.ratlin import ONE, ZERO, span_basis
+from greenring.ratlin import ONE, ZERO, _echelon, _scaled
 
 
 def test_dimensions():
@@ -105,7 +105,13 @@ def test_km_radical_is_the_span_of_odd_words(m):
     a = build_km(m)
     odd = [{a.index[w]: ONE} for w in a.words if any(w)]
     assert len(odd) == 2 ** (m + 1) - 2
-    assert span_basis(jacobson_radical(a)) == span_basis(odd)
+    assert span(jacobson_radical(a)) == span(odd)
+
+
+def span(vectors):
+    """The reduced echelon form of the span of sparse vectors, as
+    _echelon's primitive integer rows: it depends only on the span."""
+    return _echelon([_scaled(v)[0] for v in vectors])
 
 
 def test_get_algebra():

@@ -204,6 +204,33 @@ def test_negligible_matches_traces_with_a_non_diagonal_pivot():
             texts
 
 
+def test_a_nonzero_qdim_decides_before_any_hom_system(monkeypatch):
+    """The identity is in End(M) and tr(K id) = qdim(M): on every seeded
+    K2 product and DK1 module with qdim != 0, is_negligible is False, as
+    the trace definition says, and it never builds the hom system."""
+    from greenring import ideal
+    rng = random.Random(7)
+    pairs = [(rng.choice(GUARD_LABELS), rng.choice(GUARD_LABELS))
+             for _ in range(40)]
+    k2 = [tensor(realize(a, "K2"), realize(b, "K2")) for a, b in pairs]
+    st0, st1 = (realize(IndecLabel.steinberg(r), "DK1") for r in (0, 1))
+    o = realize(IndecLabel.syz_pos(1, 0), "DK1")
+    dk1 = [st0, st1, o, tensor(o, st1), tensor(o, o)]
+    certified = [m for m in k2 + dk1 if qdim(m)]
+    assert sum(m.algebra.name == "K2" for m in certified) >= 5
+    assert {o, dk1[-1]} <= set(certified)
+    built = []
+    hom_rows = ideal.hom_rows
+    monkeypatch.setattr(ideal, "hom_rows",
+                        lambda m, n: built.append(m) or hom_rows(m, n))
+    for m in certified:
+        assert is_negligible(m) is False
+        assert not negligible_by_traces(m)
+    assert built == []
+    # the spy sees the modules whose qdim is 0
+    assert is_negligible(st0) and built == [st0]
+
+
 def test_zero_module_is_negligible():
     z = zero_module(realize(IndecLabel.simple(0), "K2").algebra)
     assert is_negligible(z) and negligible_by_traces(z)

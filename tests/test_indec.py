@@ -12,7 +12,8 @@ from greenring.green import STANDARD_ETAS
 from greenring.hopf import build_km
 from greenring.indec import (EtaPoint, IndecLabel, identify, inflate_pi,
                              in_r0, realize, restrict_pi, syzygy)
-from greenring.ratlin import Rat, RatMatrix, block_diag, trace_form_radical
+from greenring.ratlin import (Rat, RatMatrix, block_diag, kernel_basis,
+                              trace_form_radical)
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
                            dual, is_isomorphic, principal_projective,
                            quotient_module, radical_vectors, socle_vectors,
@@ -237,8 +238,9 @@ def _check_k_eigenbasis(m):
     signs = [e.actions["K"][i, i] for i in range(e.dim)]
     assert e.actions["K"] == RatMatrix.diagonal(signs)
     assert signs == [1] * signs.count(1) + [-1] * signs.count(-1)
-    plus, minus = rep._k_eigen_split(m.actions["K"], m.dim)
-    p = RatMatrix.from_columns(plus + minus, rows=m.dim)
+    k, ident = m.actions["K"], RatMatrix.identity(m.dim)
+    p = RatMatrix.from_columns(kernel_basis(k - ident)
+                               + kernel_basis(k + ident), rows=m.dim)
     assert p.rank() == m.dim
     for lbl, a in m.actions.items():
         assert a * p == p * e.actions[lbl]

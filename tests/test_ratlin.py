@@ -1,5 +1,6 @@
 """Exact linear algebra layer."""
 
+import copy
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from greenring.errors import NoSolution
 from greenring.ratlin import (ONE, Rat, RatMatrix, SpanRREF, ZERO,
-                              _echelon, block_diag, in_row_space,
-                              kernel_basis, kernel_dicts, kronecker_product,
-                              minimal_polynomial, rat_from_str, rat_to_str,
-                              rational_roots, solve_linear, span_basis,
-                              span_coordinates, squarefree_part,
+                              _echelon, _forced_zeros, _int_columns,
+                              block_diag,
+                              in_row_space, kernel_basis, kernel_dicts,
+                              kronecker_product, minimal_polynomial,
+                              rat_from_str, rat_to_str, rational_roots,
+                              solve_linear, span_coordinates,
+                              squarefree_part, trace_form_radical,
                               trace_product)
 
 
@@ -75,11 +78,13 @@ def test_span_rref_membership_and_rank():
 
 
 def test_span_basis_and_coordinates():
-    vecs = [{0: ONE, 2: ONE}, {0: Rat(2), 1: ONE, 2: Rat(3)},
-            {1: Rat(-1), 2: Rat(-1)}]
-    basis = span_basis(vecs)
-    assert basis == [{0: ONE, 2: ONE}, {1: ONE, 2: ONE}]
-    incl = RatMatrix.from_columns(basis, 3)
+    """The reduced echelon basis of a span, as the columns _int_columns
+    builds from _echelon's pivot rows, and coordinates in it."""
+    vecs = [{0: 1, 2: 1}, {0: 2, 1: 1, 2: 3}, {1: -1, 2: -1}]
+    cols, rows = _echelon([dict(v) for v in vecs])  # it consumes rows
+    incl = _int_columns(3, [(r, r[c]) for c, r in zip(cols, rows)])
+    assert incl == RatMatrix.from_columns([{0: ONE, 2: ONE},
+                                           {1: ONE, 2: ONE}], 3)
     mat = RatMatrix.from_columns([{0: ONE, 1: ONE, 2: Rat(2)}, {}, vecs[1]],
                                  3)
     coords = span_coordinates(incl, mat)
@@ -148,6 +153,28 @@ def test_minimal_polynomial_is_the_first_relation(a):
     flat = [[a.power(k)[i, j] for i in range(3) for j in range(3)]
             for k in range(len(mu) - 1)]
     assert RatMatrix.from_rows(flat).rank() == len(mu) - 1
+
+
+def rat_trace_form_radical(mats):
+    """The Rat route: the Gram matrix of Rat traces tr(mats[i] mats[j]),
+    then kernel_basis."""
+    n = len(mats)
+    return kernel_basis(RatMatrix(n, n, {
+        (i, j): trace_product(a, b) for i, a in enumerate(mats)
+        for j, b in enumerate(mats)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(matrices(), max_size=3), small_rats, small_rats)
+def test_trace_form_radical_matches_the_rat_gram(mats, x, y):
+    """Integer Gram rows scaled row by row have the Rat Gram matrix's
+    kernel in the same normal form; a nilpotent N and N/3 make the
+    radical nonzero."""
+    nil = RatMatrix.from_rows([[0, x, y], [0, 0, Rat(1, 2)], [0, 0, 0]])
+    mats = [RatMatrix.identity(3), nil, nil.scale(Rat(1, 3))] + mats
+    rad = trace_form_radical(mats)
+    assert rad == rat_trace_form_radical(mats)
+    assert rad and all(type(v) is Rat and v for r in rad for v in r.values())
 
 
 def poly_mul(*polys):
@@ -276,8 +303,11 @@ def dense_rows(rows, ncols):
 
 @st.composite
 def forced_zero_systems(draw):
-    """sparse_systems with one-entry rows mixed in, and rows that become
-    one-entry rows once those columns are dropped, in a drawn order."""
+    """sparse_systems with one-entry rows mixed in, rows that become
+    one-entry rows once those columns are dropped, a propagation chain
+    {c0}, {c0, c1}, {c1, c2}, ... of depth 3 or more (when there are 3
+    columns), and a row over two chain columns, which the chain empties;
+    all in a drawn order."""
     rows, ncols = draw(sparse_systems())
     col = st.integers(min_value=0, max_value=ncols - 1)
     nonzero = small_rats.filter(bool)
@@ -290,6 +320,13 @@ def forced_zero_systems(draw):
             st.sampled_from(units), max_size=3))} if units else {}
         row[draw(col)] = draw(nonzero)
         extra.append(row)
+    chain = draw(st.lists(col, min_size=min(3, ncols), max_size=6,
+                          unique=True))
+    extra.append({chain[0]: draw(nonzero)})
+    extra += [{a: draw(nonzero), b: draw(nonzero)}
+              for a, b in zip(chain, chain[1:])]
+    if len(chain) > 2:
+        extra.append({chain[-1]: draw(nonzero), chain[1]: draw(nonzero)})
     rows = rows + extra
     order = draw(st.permutations(range(len(rows))))
     return [rows[i] for i in order], ncols
@@ -309,7 +346,9 @@ def check_echelon_against_reference(rows, ncols):
     pivots, rref = reference_rref(rows, ncols)
     cols, int_rows = _echelon(integer_rows(rows))
     assert cols == pivots and normalized(cols, int_rows) == rref
-    assert span_basis(rows) == rref
+    basis = _int_columns(ncols, [(r, r[c]) for c, r in zip(cols, int_rows)])
+    assert_canonical(basis)
+    assert basis == RatMatrix.from_columns(rref, ncols)
     assert _echelon(integer_rows(rows), reduced=False) == (pivots, None)
     assert kernel_dicts(integer_rows(rows), ncols) == \
         reference_kernel(pivots, rref, ncols)
@@ -325,6 +364,60 @@ def test_echelon_matches_reference_rref(system):
 @given(forced_zero_systems())
 def test_echelon_with_forced_zeros_matches_reference(system):
     check_echelon_against_reference(*system)
+
+
+def round_based_forced_zeros(rows, pivots):
+    """The forced-zero pass as rounds: each round forces the columns of all
+    one-entry rows and rebuilds the row list without them.  Returns (rows,
+    number of rounds that forced a column)."""
+    rows = [r for r in rows if r]
+    rounds = 0
+    while True:
+        forced = {c for r in rows if len(r) == 1 for c in r}
+        if not forced:
+            return rows, rounds
+        rounds += 1
+        for c in forced:
+            pivots[c] = {c: 1}
+        rows = [r if r.keys().isdisjoint(forced)
+                else {c: v for c, v in r.items() if c not in forced}
+                for r in rows]
+        rows = [r for r in rows if r]
+
+
+def check_forced_zeros(rows):
+    """_forced_zeros leaves the rows, their order, the order of their
+    entries and the forced pivots of the round-based reference; returns
+    the reference's number of rounds."""
+    want_pivots, got_pivots = {}, {}
+    want, rounds = round_based_forced_zeros(copy.deepcopy(rows), want_pivots)
+    got = _forced_zeros(rows, got_pivots)
+    assert got == want and got_pivots == want_pivots
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+    return rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(forced_zero_systems(), sparse_systems().map(
+    lambda system: ([r for r in system[0] if len(r) != 1], system[1]))))
+def test_forced_zeros_match_the_round_based_reference(system):
+    """Forced-zero systems with chains, and systems with no one-entry row,
+    which _forced_zeros returns as they are."""
+    rows = integer_rows(system[0])
+    none_forced = all(len(r) != 1 for r in rows)
+    assert (check_forced_zeros(rows) == 0) == none_forced
+
+
+def test_forced_zeros_follow_a_deep_chain():
+    """A chain forces one column per round, four rounds deep, and empties
+    its rows and the row {0, 1, 2} on the way; the rows {4, 5} and {5, 6}
+    keep their entries."""
+    rows = [{4: 1, 5: 2}, {2: 3, 3: -1}, {0: 1, 1: 2, 2: 5}, {0: 2, 1: 1},
+            {1: -1, 2: 7}, {0: 4}, {5: 1, 6: 1}]
+    assert check_forced_zeros(copy.deepcopy(rows)) == 4
+    pivots = {}
+    assert _forced_zeros(rows, pivots) == [{4: 1, 5: 2}, {5: 1, 6: 1}]
+    assert pivots == {c: {c: 1} for c in range(4)}
 
 
 @settings(max_examples=150, deadline=None)

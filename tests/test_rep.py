@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from greenring import rep
 from greenring.errors import GreenRingError
-from greenring.green import STANDARD_ETAS, green_mul_labels
+from greenring.green import STANDARD_ETAS, green_mul_labels, green_mul_oracle
 from greenring.hopf import build_dk1, build_km
 from greenring.ideal import is_negligible
 from greenring.indec import EtaPoint, IndecLabel, identify, realize
-from greenring.ratlin import (Rat, RatMatrix, kernel_basis, kernel_dicts,
-                              solve_linear, span_basis, span_coordinates)
+from greenring.ratlin import (ONE, Rat, RatMatrix, _echelon, _scaled,
+                              kernel_basis, kernel_dicts, kronecker_product,
+                              solve_linear, span_coordinates)
 from greenring.verify import _k2_labels
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
                            dual, hom_basis, injective_hull, is_isomorphic,
@@ -195,8 +197,9 @@ def test_k_eigenbasis_diagonalizes_k():
     assert check_module(e).ok
     assert e.actions["K"] == RatMatrix.diagonal([1, -1])
     # the witness P = [ker(K - I) | ker(K + I)] is invertible, A P = P A'
-    plus, minus = rep._k_eigen_split(m.actions["K"], m.dim)
-    p = RatMatrix.from_columns(plus + minus, rows=m.dim)
+    k, ident = m.actions["K"], RatMatrix.identity(m.dim)
+    p = RatMatrix.from_columns(kernel_basis(k - ident)
+                               + kernel_basis(k + ident), rows=m.dim)
     assert p.rank() == m.dim
     for lbl, a in m.actions.items():
         assert a * p == p * e.actions[lbl]
@@ -373,7 +376,7 @@ def test_elimination_leaves_input_matrices_unchanged():
     after each call, and after a second identical call, the inputs' int
     forms, entries and int rows are what they were before."""
     a = RatMatrix.from_rows([[1, Rat(1, 2), 0], [2, 1, 0], [0, Rat(3, 4), 5]])
-    incl = RatMatrix.from_columns(span_basis([{0: 1, 2: 2}, {1: 3}]), 3)
+    incl = RatMatrix.from_columns([{0: 1, 2: 2}, {1: 1}], 3)
     mat = incl * RatMatrix.from_rows([[Rat(1, 3), 2], [0, Rat(-5, 2)]])
     m = _basis_changed(direct_sum([P(0), V(1), realize(
         IndecLabel.syz_pos(1, 0), "K2")]), random.Random(5))
@@ -394,3 +397,226 @@ def test_elimination_leaves_input_matrices_unchanged():
         assert _snapshot(mats) == before
         assert call() == first
         assert _snapshot(mats) == before
+
+
+# -- the integer producers against the Rat route ----------------------
+#
+# The Rat route builds each RatMatrix from Rat entries: kernel vectors and
+# reduced basis vectors as Rat dicts, tensor actions as a sum of scaled
+# Kronecker products.  Reduced echelon forms and kernel normal forms are
+# unique, so the integer producers must return equal matrices.
+
+
+def rat_kernel(pivot_cols, pivot_rows, cols):
+    """Kernel normal form over cols from _echelon's pivot rows, as Rat
+    dicts: 1 at the free column f, -row[f] / row[c] at each pivot c."""
+    pivot_set = set(pivot_cols)
+    kernel = {f: {f: ONE} for f in cols if f not in pivot_set}
+    for c, row in zip(pivot_cols, pivot_rows):
+        for f, w in row.items():
+            if f in kernel:
+                kernel[f][c] = Rat(-w, row[c])
+    return list(kernel.values())
+
+
+def rat_span_basis(vectors):
+    """The reduced echelon basis of the span, as Rat dicts."""
+    cols, rows = _echelon([_scaled(v)[0] for v in vectors])
+    return [{k: Rat(v, r[c]) for k, v in r.items()}
+            for c, r in zip(cols, rows)]
+
+
+def rat_hom_basis(m, n):
+    rows, live = rep.hom_rows(m, n)
+    dm, dn = m.dim, n.dim
+    return [RatMatrix(dn, dm, {divmod(u, dm): v for u, v in vec.items()})
+            for vec in rat_kernel(*_echelon(rows), live)]
+
+
+def rat_submodule(m, vectors):
+    basis = rat_span_basis(vectors)
+    incl = RatMatrix.from_columns(basis, m.dim)
+    actions = {lbl: span_coordinates(incl, m.actions[lbl] * incl)
+               for lbl, _ in m.algebra.generators}
+    return ModuleRep(m.algebra, len(basis), actions), incl
+
+
+def rat_quotient_module(m, vectors):
+    basis = rat_span_basis(vectors)
+    pivots = {min(b) for b in basis}
+    free = [j for j in range(m.dim) if j not in pivots]
+    pos = {j: k for k, j in enumerate(free)}
+    data = {(k, j): ONE for k, j in enumerate(free)}
+    for b in basis:
+        c = min(b)
+        for j, v in b.items():
+            if j != c:
+                data[(pos[j], c)] = -v
+    proj = RatMatrix(len(free), m.dim, data)
+    actions = {}
+    for lbl, _ in m.algebra.generators:
+        image = proj * m.actions[lbl]
+        actions[lbl] = RatMatrix(len(free), len(free), {
+            (i, pos[j]): v for (i, j), v in image.data.items() if j in pos})
+    return ModuleRep(m.algebra, len(free), actions), proj
+
+
+def rat_tensor(m, n):
+    a = m.algebra
+    actions = {}
+    for g, (lbl, _) in enumerate(a.generators):
+        acc = RatMatrix.zeros(m.dim * n.dim, m.dim * n.dim)
+        for (p, q), c in a.comult[a.index[(g,)]].items():
+            acc = acc + kronecker_product(m.word_action(p),
+                                          n.word_action(q)).scale(c)
+        actions[lbl] = acc
+    return ModuleRep(a, m.dim * n.dim, actions)
+
+
+def rat_k_eigenbasis(m):
+    k_act = m.actions["K"]
+    ident = RatMatrix.identity(m.dim)
+    plus, minus = kernel_basis(k_act - ident), kernel_basis(k_act + ident)
+    rows = []
+    for half, vecs in zip(rep._k_halves(k_act), (plus, minus)):
+        half_rows = half.row_dicts()
+        rows += [half_rows[max(vec)] for vec in vecs]
+    p_inv = RatMatrix(m.dim, m.dim, {(i, j): v for i, row in enumerate(rows)
+                                     for j, v in row.items()})
+    p = RatMatrix.from_columns(plus + minus, m.dim)
+    return ModuleRep(m.algebra, m.dim, {lbl: p_inv * a * p
+                                        for lbl, a in m.actions.items()})
+
+
+def assert_canonical(m):
+    """m holds no zero entry, and rebuilding it from its Rat entries gives
+    the same store: its (ints, den) is the canonical form."""
+    ints, den = m.int_form()
+    assert all(ints.values()) and den > 0
+    again = RatMatrix(m.rows, m.cols, dict(m.data))
+    assert m == again and m.int_form() == again.int_form()
+
+
+def assert_same_module(got, want):
+    sub, incl = got
+    ref_sub, ref_incl = want
+    assert sub.dim == ref_sub.dim and sub.actions == ref_sub.actions
+    assert incl == ref_incl
+    for x in (incl, *sub.actions.values()):
+        assert_canonical(x)
+
+
+def _rescaled(m):
+    """M with actions g A g^-1 for g = diag(1, 2, ..., dim): the same
+    module with fractional actions, so its hom systems have pivot
+    entries other than 1."""
+    g = RatMatrix.diagonal([Rat(i + 1) for i in range(m.dim)])
+    g_inv = RatMatrix.diagonal([Rat(1, i + 1) for i in range(m.dim)])
+    return ModuleRep(m.algebra, m.dim, {lbl: g * a * g_inv
+                                        for lbl, a in m.actions.items()})
+
+
+def _producer_inputs():
+    """Realized K2 labels at eta 2/3, 5/7 and inf, tensor products,
+    unimodular scrambles with a non-diagonal K, a rescaled module with
+    fractional actions, and DK1 modules."""
+    rng = random.Random(13)
+    k2 = [realize(IndecLabel.parse(t), "K2") for t in (
+        "V(1)", "P(0)", "O(+1,0)", "O(-2,1)", "M(1,0,2/3)", "M(2,1,5/7)",
+        "M(2,0,inf)")]
+    products = [tensor(k2[2], k2[4]), tensor(k2[5], k2[6]),
+                tensor(k2[3], k2[0])]
+    scrambled = [_basis_changed(x, rng) for x in (k2[2], k2[5], products[0])]
+    scrambled.append(_basis_changed(_rescaled(k2[3]), rng))
+    dk1 = [realize(IndecLabel.parse(t), "DK1") for t in (
+        "St(0)", "V(1)", "O(+1,0)", "M(1,0,0)")]
+    dk1.append(tensor(dk1[2], dk1[0]))
+    return k2 + products + scrambled + [_rescaled(k2[5])], dk1, scrambled
+
+
+def _spanning_sets(m):
+    """Vectors that span submodules of M: rad M as integer rows, soc M as
+    Rat dicts, no vector, and Rat vectors that span all of M."""
+    every = [{j: Rat(j + 1, 3) for j in range(m.dim) if j >= i}
+             for i in range(m.dim)]
+    return [radical_vectors(m), socle_vectors(m), [], every]
+
+
+def test_hom_basis_equals_the_rat_route():
+    k2, dk1, _ = _producer_inputs()
+    for mods in (k2, dk1):
+        for m in mods:
+            for n in mods:
+                got = hom_basis(m, n)
+                assert got == rat_hom_basis(m, n), (m, n)
+                for t in got:
+                    assert_canonical(t)
+
+
+def test_submodule_and_quotient_equal_the_rat_route():
+    k2, dk1, _ = _producer_inputs()
+    for m in k2 + dk1:
+        for vectors in _spanning_sets(m):
+            assert_same_module(submodule(m, vectors),
+                               rat_submodule(m, vectors))
+            assert_same_module(quotient_module(m, vectors),
+                               rat_quotient_module(m, vectors))
+        # the stable kernel of an endomorphism, from integer kernel vectors
+        for theta in hom_basis(m, m)[-2:]:
+            n = theta.power(m.dim)
+            for vectors in (kernel_basis(n), n.transpose().int_rows()):
+                assert_same_module(submodule(m, vectors),
+                                   rat_submodule(m, vectors))
+
+
+def test_tensor_equals_the_rat_route():
+    k2, dk1, _ = _producer_inputs()
+    for mods in (k2, dk1):
+        for m in mods:
+            for n in mods:
+                if m.dim * n.dim <= 64:
+                    got, want = tensor(m, n), rat_tensor(m, n)
+                    assert got.dim == want.dim
+                    assert got.actions == want.actions
+                    for a in got.actions.values():
+                        assert_canonical(a)
+
+
+def test_k_eigenbasis_equals_the_rat_route():
+    _, _, scrambled = _producer_inputs()
+    rng = random.Random(17)
+    scrambled += [_basis_changed(tensor(P(1), V(0)), rng),
+                  _basis_changed(direct_sum([V(0), V(1), P(0)]), rng)]
+    for m in scrambled:
+        assert any(i != j for i, j in m.actions["K"].int_form()[0])
+        got = rep._k_eigenbasis(m)
+        assert got.actions == rat_k_eigenbasis(m).actions
+        for a in got.actions.values():
+            assert_canonical(a)
+
+
+# Fraction constructions over the same 100 oracle pairs, with every cache
+# warm: 7295 when hom bases, spans and tensor actions went through Rat
+# dicts, 958 once they are built from integers.  The count does not move
+# with the host's clock, as a timing would.
+FRACTION_BOUND = 958
+
+
+@pytest.mark.skipif(Rat is not Fraction, reason="counts fractions.Fraction")
+def test_oracle_fraction_count_stays_within_bound(monkeypatch):
+    pairs = _fusion_pairs_by_dim()[::16]
+    assert len(pairs) == 100
+    want = [green_mul_labels(a, b) for a, b in pairs]
+    assert [green_mul_oracle(a, b) for a, b in pairs] == want  # warm caches
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    got = [green_mul_oracle(a, b) for a, b in pairs]
+    monkeypatch.undo()
+    assert got == want
+    assert len(made) <= FRACTION_BOUND
