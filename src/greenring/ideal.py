@@ -8,13 +8,14 @@ plus a default value.
 
 The base case is the negligible ideal: M is negligible when the pivotal
 quantum trace T -> tr(rho(pivot) . T) vanishes on all of End(M); the
-pivot is the group-like K (the generator b over DK1).  End(M) is the
-kernel of the intertwining constraints C (rep.hom_rows) over their live
-unknowns -- every other unknown vanishes on End(M), so the trace
-functional is restricted to the live ones -- and a linear functional
-vanishes on ker C exactly when it lies in the row space of C, so
-negligibility is one row-space membership test, with no basis of End(M)
-built.
+pivot is the group-like K (the generator b over DK1).  Projectives are
+negligible and End(M) splits along M = F + R, F the free part, so over
+K-type algebras is_negligible first peels F off (rep._peel_projectives)
+and tests only the remainder R.  The test is one row-space membership:
+End(R) is the kernel of the intertwining constraints C (rep.hom_rows)
+over their live unknowns, and a linear functional vanishes on ker C
+exactly when it lies in the row space of C, so no basis of End(R) is
+built.  Over DK1 the test runs on all of End(M).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import inf
 from .errors import (InvalidIdealSpec, InvalidLabel, NegativeCoefficient,
                      NotEndomorphism)
 from .indec import EtaPoint, identify
-from .rep import hom_rows
+from .rep import _k_eigenbasis, _peel_projectives, hom_rows
 from .ratlin import in_row_space, trace_product
 
 
@@ -208,20 +209,36 @@ def qdim(m):
 def is_negligible(m):
     """True iff the quantum trace vanishes on all of End(M).
 
-    With K the pivot matrix and T vectorized as in rep.hom_rows (unknown
-    i * d + j is T[i, j]), tr(K T) = sum of K[j, i] T[i, j] is the
-    functional phi with phi[i * d + j] = K[j, i].  End(M) is the kernel of
-    the constraint rows C over the live unknowns, every other unknown
-    being 0 on End(M); so only phi's entries on live unknowns matter, and
-    phi vanishes on ker C iff that restriction is in row(C), because the
-    annihilator of ker C is (ker C)-perp = row(C).
-
     The identity is in End(M) and tr(K id) = qdim(M), so a nonzero qdim
     is an exact certificate that M is not negligible, read before any
     system is built.
+
+    Over a K-type algebra the free part is peeled off next, and only the
+    remainder is tested; this is exact, for two reasons.
+
+    Block split.  The peel gives M = F + R, F free and R isomorphic to
+    M / F, and K acts on each summand, so tr(K T) = tr(K T_FF) +
+    tr(K T_RR) for T in End(M).  T_FF ranges over all of End(F) and T_RR
+    over all of End(R), so M is negligible iff both F and R are.
+    Negligibility is an isomorphism invariant, so the peel's quotient
+    M / F can stand for R.
+
+    Projectives are negligible.  K_m is not semisimple.  Were tr(K f) != 0
+    for some f in End(P), P projective, then the trace would make V(0) a
+    retract of P (x) P*, which is projective; V(0) is not projective.
+
+    The membership test.  With K the pivot matrix and T vectorized as in
+    rep.hom_rows (unknown i * d + j is T[i, j]), tr(K T) = sum of
+    K[j, i] T[i, j] is the functional phi with phi[i * d + j] = K[j, i].
+    End(M) is the kernel of the constraint rows C over the live unknowns,
+    every other unknown being 0 on End(M); so only phi's entries on live
+    unknowns matter, and phi vanishes on ker C iff that restriction is in
+    row(C), because the annihilator of ker C is (ker C)-perp = row(C).
     """
     if qdim(m):
         return False
+    if m.algebra.name.startswith("K"):
+        _, m = _peel_projectives(_k_eigenbasis(m))
     d = m.dim
     rows, live = hom_rows(m, m)
     piv, _ = _pivot_matrix(m).int_form()  # a positive multiple of K

@@ -25,11 +25,12 @@ theta - lambda, for theta in a sample drawn from a basis of End(M)/rad
 and lambda a rational eigenvalue found by Sturm bisection.  Over DK1 the
 central involution bc splits the module first.
 
-Vectors are sparse dicts index -> Rat or int.  submodule and
-quotient_module take vectors that already span a submodule, and read its
-basis off the primitive integer pivot rows of one ratlin._echelon call;
-they build the inclusion and the projection from those integers, as
-hom_basis builds its maps from integer kernel vectors, with no Rat made.
+Vectors are sparse dicts index -> Rat or int; quotient_module takes
+integer vectors only, and consumes them.  submodule and quotient_module
+take vectors that already span a submodule, and read its basis off the
+primitive integer pivot rows of one ratlin._echelon call; they build the
+inclusion and the projection from those integers, as hom_basis builds
+its maps from integer kernel vectors, with no Rat made.
 """
 
 from __future__ import annotations
@@ -381,13 +382,14 @@ def submodule(m, vectors):
 
 
 def quotient_module(m, vectors):
-    """Quotient of M by the submodule spanned by the sparse vectors.
+    """Quotient of M by the submodule spanned by the sparse integer
+    vectors, which it consumes, as ratlin._echelon does.
 
     Returns (quot, projection) with projection a (dim quot) x (dim M)
     matrix; the quotient carrier is the non-pivot coordinates of the
     reduced echelon basis of the subspace.
     """
-    cols, rows = _echelon([_scaled(v)[0] for v in vectors])
+    cols, rows = _echelon(vectors)
     lead = lcm(*[r[c] for c, r in zip(cols, rows)])
     pivots = set(cols)
     free = [j for j in range(m.dim) if j not in pivots]
@@ -523,9 +525,9 @@ def projective_cover(m):
 def _projective_cover_ktype(m):
     algebra = m.algebra
     rad = radical_vectors(m)
+    pivots = {min(v) for v in rad}  # read before quotient_module eats rad
     head, _ = quotient_module(m, rad)
     plus, minus = _k_eigen_split(head.actions["K"], head.dim)
-    pivots = {min(v) for v in rad}
     free = [j for j in range(m.dim) if j not in pivots]
     halves = _k_halves(m.actions["K"])
     pieces = []

@@ -201,6 +201,15 @@ def test_negligible_and_qdim(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_negligible_of_large_products(capsys):
+    """A product of dimension 1056: its free part is peeled off, so only
+    the remainder's hom system is solved."""
+    assert main(["negligible", "M(16,0,1)*O(+16,0)"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert main(["negligible", "O(+8,0)*O(-8,1)"]) == 0
+    assert capsys.readouterr().out.strip() == "false"
+
+
 def test_auslander(capsys):
     assert main(["auslander", "2"]) == 0
     assert "isomorphism verified" in capsys.readouterr().out

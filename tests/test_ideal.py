@@ -6,7 +6,7 @@ import random
 import pytest
 
 from greenring.errors import NegativeCoefficient, NotEndomorphism
-from greenring.green import GreenElement, green_mul_labels
+from greenring.green import STANDARD_ETAS, GreenElement, green_mul_labels
 from greenring.ideal import (IdealSpec, ideal_closure, ideal_contains,
                              is_negligible, is_quasi_dominated, qdim,
                              quantum_trace)
@@ -14,6 +14,7 @@ from greenring.indec import EtaPoint, IndecLabel, realize
 from greenring.ratlin import Rat, RatMatrix, ZERO
 from greenring.rep import (ModuleRep, check_module, direct_sum, hom_basis,
                            tensor, zero_module)
+from greenring.verify import _k2_labels
 
 ETA0 = EtaPoint.finite(0, 1)
 ETA1 = EtaPoint.finite(1, 1)
@@ -229,6 +230,114 @@ def test_a_nonzero_qdim_decides_before_any_hom_system(monkeypatch):
     assert built == []
     # the spy sees the modules whose qdim is 0
     assert is_negligible(st0) and built == [st0]
+
+
+def test_projectives_are_negligible_by_the_definition():
+    """The theorem the peel rests on, checked on the trace definition
+    itself: the quantum trace vanishes on End(P) for projective P."""
+    p0, p1 = (realize(IndecLabel.proj(r), "K2") for r in (0, 1))
+    for m in (p0, p1, direct_sum([p0, p1, p1])):
+        assert negligible_by_traces(m)
+
+
+def test_negligible_matches_traces_after_the_peel(monkeypatch):
+    """Seeded K2 products with qdim 0, a free part and a nonzero
+    remainder, products whose remainder is not negligible, and unimodular
+    scrambles of them with a non-diagonal K: is_negligible, which tests
+    only the remainder, equals the trace definition on all of End(M), and
+    the spy sees the peel split off free summands each time."""
+    from greenring import ideal
+    peeled = []
+    peel = ideal._peel_projectives
+
+    def spy(m):
+        projs, rest = peel(m)
+        peeled.append((len(projs), rest.dim))
+        return projs, rest
+
+    monkeypatch.setattr(ideal, "_peel_projectives", spy)
+    rng = random.Random(11)
+    mods = []
+    while len(mods) < 8:
+        a, b = rng.choice(GUARD_LABELS), rng.choice(GUARD_LABELS)
+        kinds = {lbl.kind for lbl in green_mul_labels(a, b).coeffs}
+        m = tensor(realize(a, "K2"), realize(b, "K2"))
+        if "P" in kinds and kinds != {"P"} and not qdim(m):
+            mods.append(m)
+    # qdims that cancel: (O(+1,0) + O(+1,1)) x O(-1,0) is V(0) + V(1) + 4 P
+    pair = direct_sum([realize(IndecLabel.parse(t), "K2")
+                       for t in ("O(+1,0)", "O(+1,1)")])
+    for text in ("O(-1,0)", "O(+2,1)"):
+        mods.append(tensor(pair, realize(IndecLabel.parse(text), "K2")))
+    for m in mods[:8:3] + mods[-2:]:
+        steps = [(*rng.sample(range(m.dim), 2), rng.choice((-1, 1)))
+                 for _ in range(m.dim)]
+        c = conjugated(m, steps)
+        assert check_module(c).ok
+        assert any(i != j for i, j in c.actions["K"].data), "K is diagonal"
+        mods.append(c)
+    seen = set()
+    for m in mods:
+        want = negligible_by_traces(m)
+        assert not qdim(m)
+        assert is_negligible(m) == want
+        seen.add(want)
+    assert seen == {True, False}  # both outcomes are exercised
+    assert len(peeled) == len(mods)
+    assert all(n >= 1 and d > 0 for n, d in peeled), peeled
+
+
+FUSION_LABELS = list(dict.fromkeys(
+    _k2_labels(4, 0, []) + _k2_labels(0, 4, STANDARD_ETAS[3:5])))
+
+
+def fusion_products():
+    """(a, b, a x b) for the 1296 ordered pairs of the fusion sweep's 36
+    labels, up to O(+-4) (dimension 9) and M_4 (dimension 8)."""
+    assert len(FUSION_LABELS) == 36
+    mods = {a: realize(a, "K2") for a in FUSION_LABELS}
+    return [(a, b, tensor(mods[a], mods[b]))
+            for a in FUSION_LABELS for b in FUSION_LABELS]
+
+
+def test_negligible_on_the_whole_fusion_sweep():
+    """Negligible modules form a tensor ideal that holds exactly the P
+    and M indecomposables, so a x b is negligible iff every summand of
+    its closed form is P or M.  This covers the 96 products of dimension
+    above 56, up to 81, which the full End(M x N) solve made too slow."""
+    seen = set()
+    for a, b, m in fusion_products():
+        want = all(lbl.kind in ("P", "M")
+                   for lbl in green_mul_labels(a, b).coeffs)
+        assert is_negligible(m) == want, (str(a), str(b))
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_hom_systems_on_the_fusion_sweep_stay_small(monkeypatch):
+    """A clock-free guard: the live unknowns and the rows of every hom
+    system is_negligible builds over the 1296 products, summed.  Unlike
+    the wall clock, these counts do not move with host load.  Before the
+    free part was peeled off, the 1200 products of dimension <= 56 alone
+    built 352,256 live unknowns and 676,320 rows; the 96 larger ones were
+    too slow to count here."""
+    from greenring import ideal
+    sizes = []
+    hom_rows = ideal.hom_rows
+
+    def spy(m, n):
+        rows, live = hom_rows(m, n)
+        sizes.append((len(live), len(rows)))
+        return rows, live
+
+    monkeypatch.setattr(ideal, "hom_rows", spy)
+    products = fusion_products()
+    for _, _, m in products:
+        is_negligible(m)
+    # one system per product of qdim 0; the others are decided by qdim
+    assert len(sizes) == sum(not qdim(m) for _, _, m in products) == 972
+    assert sum(n for n, _ in sizes) <= 13120
+    assert sum(r for _, r in sizes) <= 15680
 
 
 def test_zero_module_is_negligible():

@@ -12,8 +12,8 @@ from greenring.green import STANDARD_ETAS
 from greenring.hopf import build_km
 from greenring.indec import (EtaPoint, IndecLabel, identify, inflate_pi,
                              in_r0, realize, restrict_pi, syzygy)
-from greenring.ratlin import (Rat, RatMatrix, block_diag, kernel_basis,
-                              trace_form_radical)
+from greenring.ratlin import (Rat, RatMatrix, _scaled, block_diag,
+                              kernel_basis, trace_form_radical)
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
                            dual, is_isomorphic, principal_projective,
                            quotient_module, radical_vectors, socle_vectors,
@@ -266,7 +266,8 @@ def test_decompose_k3_under_basis_change():
     a = build_km(3)
     proj = principal_projective(a, 1)[0]
     parts = [principal_projective(a, 0)[0], trivial_module(a),
-             quotient_module(proj, socle_vectors(proj))[0]]
+             quotient_module(proj, [_scaled(v)[0]
+                                    for v in socle_vectors(proj)])[0]]
     m = _scrambled(direct_sum(parts), random.Random(3))
     assert check_module(m).ok
     _check_k_eigenbasis(m)
@@ -324,7 +325,7 @@ def test_image_submodule_and_quotient_of_an_endomorphism(seed):
     for e in endos:
         theta = theta + e.scale(rng.randint(-2, 2))
     sub, incl = rep.submodule(m, theta.col_dicts())
-    quot, proj = quotient_module(m, theta.col_dicts())
+    quot, proj = quotient_module(m, theta.transpose().int_rows())
     for lbl, a in m.actions.items():
         assert incl * sub.actions[lbl] == a * incl
         assert proj * a == quot.actions[lbl] * proj
