@@ -8,14 +8,16 @@ plus a default value.
 
 The base case is the negligible ideal: M is negligible when the pivotal
 quantum trace T -> tr(rho(pivot) . T) vanishes on all of End(M); the
-pivot is the group-like K (the generator b over DK1).  Projectives are
-negligible and End(M) splits along M = F + R, F the free part, so over
-K-type algebras is_negligible first peels F off (rep._peel_projectives)
-and tests only the remainder R.  The test is one row-space membership:
-End(R) is the kernel of the intertwining constraints C (rep.hom_rows)
-over their live unknowns, and a linear functional vanishes on ker C
-exactly when it lies in the row space of C, so no basis of End(R) is
-built.  Over DK1 the test runs on all of End(M).
+pivot is the group-like K (the generator b over DK1, rep.pivot).
+Projectives are negligible, and the trace splits over a direct sum of
+submodules, so is_negligible cuts the projective blocks off first.  Over
+DK1 the central bc splits M into a K2 block and a Steinberg block, which
+is projective (rep._bc_blocks); the free part F is peeled off the K2
+module (rep._peel_projectives), and only the remainder R is tested.  The
+test is one row-space membership: End(R) is the kernel of the
+intertwining constraints C (rep.hom_rows) over their live unknowns, and
+a linear functional vanishes on ker C exactly when it lies in the row
+space of C, so no basis of End(R) is built.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from math import inf
 from .errors import (InvalidIdealSpec, InvalidLabel, NegativeCoefficient,
                      NotEndomorphism)
 from .indec import EtaPoint, identify
-from .rep import _k_eigenbasis, _peel_projectives, hom_rows
+from .rep import (_bc_blocks, _k_eigenbasis, _peel_projectives, hom_rows,
+                  pivot)
 from .ratlin import in_row_space, trace_product
 
 
@@ -186,10 +189,6 @@ def ideal_contains(spec, x):
 # negligibility via the pivotal quantum trace
 
 
-def _pivot_matrix(m):
-    return m.actions["K" if m.algebra.name != "DK1" else "b"]
-
-
 def quantum_trace(m, t):
     """tr(rho(pivot) . T) for an endomorphism T of M."""
     if not (t.rows == m.dim and t.cols == m.dim):
@@ -198,12 +197,12 @@ def quantum_trace(m, t):
         act = m.actions[lbl]
         if t * act != act * t:
             raise NotEndomorphism(f"does not commute with {lbl}")
-    return trace_product(_pivot_matrix(m), t)
+    return trace_product(pivot(m), t)
 
 
 def qdim(m):
     """Quantum dimension: quantum trace of the identity."""
-    return _pivot_matrix(m).trace()
+    return pivot(m).trace()
 
 
 def is_negligible(m):
@@ -213,19 +212,26 @@ def is_negligible(m):
     is an exact certificate that M is not negligible, read before any
     system is built.
 
-    Over a K-type algebra the free part is peeled off next, and only the
-    remainder is tested; this is exact, for two reasons.
+    Then two projective blocks are cut off, and only what is left is
+    tested; this is exact, for two reasons.
 
-    Block split.  The peel gives M = F + R, F free and R isomorphic to
-    M / F, and K acts on each summand, so tr(K T) = tr(K T_FF) +
-    tr(K T_RR) for T in End(M).  T_FF ranges over all of End(F) and T_RR
-    over all of End(R), so M is negligible iff both F and R are.
-    Negligibility is an isomorphism invariant, so the peel's quotient
-    M / F can stand for R.
+    Block split.  For M = X + Y, a direct sum of submodules, the pivot
+    acts on each summand, so tr(K T) = tr(K T_XX) + tr(K T_YY) for T in
+    End(M).  T_XX ranges over all of End(X) and T_YY over all of End(Y),
+    so M is negligible iff both X and Y are; and negligibility is an
+    isomorphism invariant.
 
-    Projectives are negligible.  K_m is not semisimple.  Were tr(K f) != 0
-    for some f in End(P), P projective, then the trace would make V(0) a
-    retract of P (x) P*, which is projective; V(0) is not projective.
+    Projectives are negligible.  Neither K_m nor DK1 is semisimple.  Were
+    tr(K f) != 0 for some f in End(P), P projective, then the trace would
+    make the unit V(0) a retract of P (x) P*, which is projective; V(0)
+    is not projective.
+
+    The blocks.  Over DK1 the central involution bc splits M into its
+    eigenspaces (rep._bc_blocks).  The -1 block is a sum of Steinberg
+    modules, which are projective; the +1 block is a K2 module, on which
+    the pivot b acts as K and whose DK1 maps are its K2 maps.  Then the
+    peel gives M = F + R, F free and R isomorphic to M / F, so the peel's
+    quotient can stand for R.
 
     The membership test.  With K the pivot matrix and T vectorized as in
     rep.hom_rows (unknown i * d + j is T[i, j]), tr(K T) = sum of
@@ -237,11 +243,12 @@ def is_negligible(m):
     """
     if qdim(m):
         return False
-    if m.algebra.name.startswith("K"):
-        _, m = _peel_projectives(_k_eigenbasis(m))
+    if m.algebra.name == "DK1":
+        m = _bc_blocks(m)[0]
+    _, m = _peel_projectives(_k_eigenbasis(m))
     d = m.dim
     rows, live = hom_rows(m, m)
-    piv, _ = _pivot_matrix(m).int_form()  # a positive multiple of K
+    piv, _ = pivot(m).int_form()  # a positive multiple of K
     live = set(live)
     phi = {i * d + j: v for (j, i), v in piv.items() if i * d + j in live}
     return in_row_space(rows, phi, d * d)

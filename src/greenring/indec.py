@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import re
 
-from .errors import GreenRingError, InvalidLabel, NotInR0, OutOfRange
+from .errors import GreenRingError, InvalidLabel, OutOfRange
 from .hopf import build_dk1, build_km
 from .ratlin import (ONE, Rat, RatMatrix, _echelon, kernel_basis,
                      rat_from_str, rat_to_str)
-from .rep import (ModuleRep, _k_eigenbasis, decompose, dk1_as_k2_actions,
-                  injective_hull, is_isomorphic, k2_as_dk1_actions,
-                  projective_cover, quotient_module, submodule)
+from .rep import (ModuleRep, _k_eigenbasis, decompose, in_r0, inflate_pi,
+                  injective_hull, is_isomorphic, projective_cover,
+                  quotient_module, restrict_pi, submodule)
 
 
 class EtaPoint:
@@ -266,7 +266,7 @@ def _realize_fresh(label, algebra):
         return _steinberg_module(label.r)
     m = _realize_k2(label)
     if algebra == "DK1":
-        return k2_as_dk1_actions(m)
+        return inflate_pi(m)
     return m
 
 
@@ -341,33 +341,6 @@ def syzygy(k, r):
             hull, emb = injective_hull(m)
             m, _ = quotient_module(hull, emb.transpose().int_rows())
     return m
-
-
-# ---------------------------------------------------------------------
-# DK1 <-> K2 transport
-
-
-def in_r0(m):
-    """True when the two group-likes of DK1 act identically on M."""
-    if m.algebra.name != "DK1":
-        raise InvalidLabel("in_r0 applies to DK1 modules only")
-    return m.actions["b"] == m.actions["c"]
-
-
-def restrict_pi(m):
-    """View a DK1 module with equal group-like actions as a K2 module."""
-    if m.algebra.name != "DK1":
-        raise InvalidLabel("restrict_pi applies to DK1 modules only")
-    if not in_r0(m):
-        raise NotInR0("the two group-likes act differently on this module")
-    return dk1_as_k2_actions(m)
-
-
-def inflate_pi(m):
-    """Inflate a K2 module to DK1 along the quotient map."""
-    if m.algebra.name != "K2":
-        raise InvalidLabel("inflate_pi applies to K2 modules only")
-    return k2_as_dk1_actions(m)
 
 
 # ---------------------------------------------------------------------

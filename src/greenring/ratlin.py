@@ -1,10 +1,10 @@
 """Exact rational scalars and matrices.
 
 Everything downstream (Hopf structure constants, module actions, hom
-spaces) runs on this module, so arithmetic is exact: scalars are GMP
-rationals (`fractions.Fraction` when gmpy2 is unavailable) and all
-elimination uses deterministic pivoting -- first nonzero entry in
-row-major scan -- so kernel bases and normal forms are reproducible.
+spaces) runs on this module, so arithmetic is exact: scalars are
+`fractions.Fraction` rationals and all elimination uses deterministic
+pivoting -- first nonzero entry in row-major scan -- so kernel bases and
+normal forms are reproducible.
 
 A matrix is stored as sparse integers over one common denominator,
 because module action matrices are mostly zeros and integer arithmetic
@@ -31,10 +31,7 @@ from types import MappingProxyType
 
 from .errors import NoSolution
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 is an optional speed-up
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 ZERO = Rat(0)
 ONE = Rat(1)

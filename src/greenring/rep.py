@@ -22,8 +22,14 @@ the remainder is handled by the endomorphism-algebra meataxe: the
 trace-form radical of End(M) certifies indecomposable modules (End(M)
 local), and every other module is split by the Fitting split of
 theta - lambda, for theta in a sample drawn from a basis of End(M)/rad
-and lambda a rational eigenvalue found by Sturm bisection.  Over DK1 the
-central involution bc splits the module first.
+and lambda a rational eigenvalue found by Sturm bisection.
+
+Over DK1 one seam, _bc_blocks, splits M once by the central involution
+bc.  On its +1 block both group-likes act alike, so DK1 acts through K2
+(restrict_pi), and decompose, projective_cover and ideal.is_negligible
+run the K2 routes there; its -1 block is a sum of the Steinberg modules
+St(0) and St(1), which are simple and projective.  The pivot of the
+quantum trace is K, and b over DK1 (pivot).
 
 Vectors are sparse dicts index -> Rat or int; quotient_module takes
 integer vectors only, and consumes them.  submodule and quotient_module
@@ -38,12 +44,13 @@ from __future__ import annotations
 from itertools import chain
 from math import lcm
 
-from .errors import (AlgebraMismatch, GreenRingError, InvalidModule,
-                     NonSplitField, OutOfRange, Unclassified)
-from .hopf import build_km, get_algebra, jacobson_radical
+from .errors import (AlgebraMismatch, GreenRingError, InvalidLabel,
+                     InvalidModule, NonSplitField, NotInR0, OutOfRange,
+                     Unclassified)
+from .hopf import build_dk1, build_km, get_algebra, jacobson_radical
 from .ratlin import (ONE, ZERO, Rat, RatMatrix, _echelon, _int_columns,
                      _normalized, _rref_kernel, _scaled, block_diag,
-                     kernel_basis, kernel_dicts, minimal_polynomial,
+                     kernel_dicts, minimal_polynomial,
                      rat_from_str, rat_to_str, rational_roots,
                      span_coordinates, squarefree_part, trace_form_radical)
 
@@ -413,11 +420,20 @@ def quotient_module(m, vectors):
 
 
 # ---------------------------------------------------------------------
-# K2-type <-> DK1 transport (algebra-level; the r0 checks live in indec)
+# DK1 <-> K2 transport, and the split of a DK1 module by bc
 
 
-def dk1_as_k2_actions(m):
+def in_r0(m):
+    """True when the two group-likes of DK1 act identically on M."""
+    if m.algebra.name != "DK1":
+        raise InvalidLabel("in_r0 applies to DK1 modules only")
+    return m.actions["b"] == m.actions["c"]
+
+
+def restrict_pi(m):
     """View a DK1 module with equal group-like actions as a K2 module."""
+    if not in_r0(m):
+        raise NotInR0("the two group-likes act differently on this module")
     return ModuleRep(build_km(2), m.dim, {
         "K": m.actions["b"],
         "x1": m.actions["a"],
@@ -425,15 +441,40 @@ def dk1_as_k2_actions(m):
     })
 
 
-def k2_as_dk1_actions(m):
-    """Inflate a K2 module to DK1 (both group-likes act as K)."""
-    from .hopf import build_dk1
+def inflate_pi(m):
+    """Inflate a K2 module to DK1 along the quotient map (both group-likes
+    act as K)."""
+    if m.algebra.name != "K2":
+        raise InvalidLabel("inflate_pi applies to K2 modules only")
     return ModuleRep(build_dk1(), m.dim, {
         "a": m.actions["x1"],
         "b": m.actions["K"],
         "c": m.actions["K"],
         "d": m.actions["x2"],
     })
+
+
+def pivot(m):
+    """The action of the pivotal group-like: K, or b over DK1."""
+    return m.actions["b" if m.algebra.name == "DK1" else "K"]
+
+
+def _bc_blocks(m):
+    """A DK1 module split by its central involution bc, as
+    (k2, st, incl_k2, incl_st).
+
+    bc is central, so its +1 and -1 eigenspaces are submodules, M is their
+    direct sum, and no DK1 map runs between them.  On the +1 block
+    c = b^-1 = b, so it is in r0 and k2 is its restriction to K2: a DK1
+    map between such blocks is a K2 map between their restrictions.  The
+    -1 block st is a sum of the Steinberg modules St(0) and St(1), which
+    are simple and projective.  incl_k2 and incl_st are the inclusions
+    into M.
+    """
+    plus, minus = _k_eigen_split(m.actions["b"] * m.actions["c"], m.dim)
+    k2, incl_k2 = submodule(m, [vec for vec, _ in plus])
+    st, incl_st = submodule(m, [vec for vec, _ in minus])
+    return restrict_pi(k2), st, incl_k2, incl_st
 
 
 # ---------------------------------------------------------------------
@@ -470,10 +511,16 @@ def _k_halves(k_act):
 def _k_eigen_split(mat, dim):
     """Eigenvectors of an involution matrix, as (plus_basis, minus_basis):
     the kernels of mat - I and mat + I in normal form, each vector an
-    (ints, den) pair of ratlin._rref_kernel."""
+    (ints, den) pair of ratlin._rref_kernel.  Raises GreenRingError when
+    the two do not span, so mat is no involution."""
     ident = RatMatrix.identity(dim)
-    return tuple(_rref_kernel(*_echelon((mat + s).int_rows()), range(dim))
-                 for s in (-ident, ident))
+    plus, minus = (_rref_kernel(*_echelon((mat + s).int_rows()), range(dim))
+                   for s in (-ident, ident))
+    if len(plus) + len(minus) != dim:
+        raise GreenRingError(
+            "a group-like does not act as an involution: its +1 and -1 "
+            f"eigenspaces span {len(plus) + len(minus)} of {dim} dimensions")
+    return plus, minus
 
 
 def _k_eigenbasis(m):
@@ -491,10 +538,6 @@ def _k_eigenbasis(m):
     if all(i == j for i, j in k_act.int_form()[0]):
         return m
     plus, minus = _k_eigen_split(k_act, m.dim)
-    if len(plus) + len(minus) != m.dim:
-        raise GreenRingError(
-            "K does not act as an involution: its +1 and -1 eigenspaces "
-            f"span {len(plus) + len(minus)} of {m.dim} dimensions")
     halves = _k_halves(k_act)
     den = lcm(*[h.int_form()[1] for h in halves])
     rows = []  # the rows of P^-1, as integers over den
@@ -517,9 +560,12 @@ def projective_cover(m):
     """
     if m.dim == 0:
         raise ValueError("zero module has no projective cover")
-    if m.algebra.name == "DK1":
-        return _projective_cover_dk1(m)
-    return _projective_cover_ktype(m)
+    if m.algebra.name != "DK1":
+        return _projective_cover_ktype(m)
+    # the Steinberg block is projective, so it covers itself
+    k2, st, incl_k2, incl_st = _bc_blocks(m)
+    p, cov = _projective_cover_ktype(k2)
+    return direct_sum([inflate_pi(p), st]), (incl_k2 * cov).hstack(incl_st)
 
 
 def _projective_cover_ktype(m):
@@ -551,27 +597,6 @@ def _projective_cover_ktype(m):
     return p, cov
 
 
-def _projective_cover_dk1(m):
-    bc = m.actions["b"] * m.actions["c"]
-    ident = RatMatrix.identity(m.dim)
-    if bc == ident:
-        k2 = dk1_as_k2_actions(m)
-        p, cov = _projective_cover_ktype(k2)
-        return k2_as_dk1_actions(p), cov
-    plus = kernel_basis(bc - ident)
-    minus = kernel_basis(bc + ident)
-    if not plus:
-        # purely Steinberg-isotypic: semisimple projective, covers itself
-        return m, RatMatrix.identity(m.dim)
-    sub_p, incl_p = submodule(m, plus)
-    sub_m, incl_m = submodule(m, minus)
-    p1, cov1 = _projective_cover_dk1(sub_p)
-    p2, cov2 = _projective_cover_dk1(sub_m)
-    p = direct_sum([p1, p2])
-    cov = (incl_p * cov1).hstack(incl_m * cov2)
-    return p, cov
-
-
 def injective_hull(m):
     """Injective hull via duality: (I, embedding M -> I).
 
@@ -580,8 +605,7 @@ def injective_hull(m):
     grouplike, so composing with its action gives the embedding M -> P*.
     """
     p, cov = projective_cover(dual(m))
-    grouplike = m.actions["K" if m.algebra.name != "DK1" else "b"]
-    return dual(p), cov.transpose() * grouplike
+    return dual(p), cov.transpose() * pivot(m)
 
 
 # ---------------------------------------------------------------------
@@ -634,28 +658,15 @@ def decompose(m):
     if m.dim == 0:
         return []
     if m.algebra.name == "DK1":
-        return _decompose_dk1(m)
+        k2, st, _, _ = _bc_blocks(m)
+        return ([inflate_pi(s) for s in decompose(k2)]
+                + (_meataxe(st) if st.dim else []))
     if m.algebra.name.startswith("K"):
         m = _k_eigenbasis(m)
         summands, rest = _peel_projectives(m)
         if summands:
             return summands + decompose(rest)
     return _meataxe(m)
-
-
-def _decompose_dk1(m):
-    bc = m.actions["b"] * m.actions["c"]
-    ident = RatMatrix.identity(m.dim)
-    if bc == ident:
-        # equal group-like actions: the K2 decomposition transports back
-        return [k2_as_dk1_actions(s) for s in decompose(dk1_as_k2_actions(m))]
-    plus = kernel_basis(bc - ident)
-    if not plus:
-        return _meataxe(m)
-    minus = kernel_basis(bc + ident)
-    sub_p, _ = submodule(m, plus)
-    sub_m, _ = submodule(m, minus)
-    return _decompose_dk1(sub_p) + _decompose_dk1(sub_m)
 
 
 def _meataxe(m):

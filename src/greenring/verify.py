@@ -77,7 +77,9 @@ def suite_fusion(max_s=4, max_n=4, etas=None):
 
     # criterion 2: oracle agreement; non-M labels in full, the M family
     # over two generic eta values, plus an all-eta sweep at small n
-    sweep = _k2_labels(max_s, 0, []) + _k2_labels(0, max_n, etas[3:5])
+    # both halves list V(r) and P(r): keep each label once
+    sweep = list(dict.fromkeys(_k2_labels(max_s, 0, [])
+                               + _k2_labels(0, max_n, etas[3:5])))
     mismatches = []
     for a in sweep:
         for b in sweep:

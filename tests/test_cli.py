@@ -1,6 +1,8 @@
 """Command-line front end: parsing, commands, exit codes, JSON output."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -208,6 +210,17 @@ def test_negligible_of_large_products(capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["negligible", "O(+8,0)*O(-8,1)"]) == 0
     assert capsys.readouterr().out.strip() == "false"
+
+
+def test_negligible_of_a_large_dk1_product_within_a_minute():
+    """The same product over DK1: its bc = -1 block is projective, so only
+    the K2 test on its bc = 1 block runs, in a process given 60 s."""
+    done = subprocess.run(
+        [sys.executable, "-m", "greenring.cli", "--algebra", "DK1",
+         "negligible", "M(16,0,1)*O(+16,0)"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "true"
 
 
 def test_auslander(capsys):

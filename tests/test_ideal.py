@@ -10,7 +10,7 @@ from greenring.green import STANDARD_ETAS, GreenElement, green_mul_labels
 from greenring.ideal import (IdealSpec, ideal_closure, ideal_contains,
                              is_negligible, is_quasi_dominated, qdim,
                              quantum_trace)
-from greenring.indec import EtaPoint, IndecLabel, realize
+from greenring.indec import EtaPoint, IndecLabel, identify, realize
 from greenring.ratlin import Rat, RatMatrix, ZERO
 from greenring.rep import (ModuleRep, check_module, direct_sum, hom_basis,
                            tensor, zero_module)
@@ -184,8 +184,8 @@ def test_negligible_matches_traces_over_dk1():
 
 
 def test_negligible_matches_traces_with_a_non_diagonal_pivot():
-    """DK1 sums scrambled inside the eigenspaces of c: c still grades the
-    hom system, while the pivot b is no longer diagonal."""
+    """DK1 sums scrambled inside the eigenspaces of c, so that the pivot b
+    is no longer diagonal."""
     cases = [(("O(+1,0)", "St(1)"), False), (("M(1,0,0)", "St(1)"), True),
              (("P(0)", "St(0)"), True)]
     rng = random.Random(5)
@@ -203,6 +203,58 @@ def test_negligible_matches_traces_with_a_non_diagonal_pivot():
         assert any(i != j for i, j in s.actions["b"].data), "b is diagonal"
         assert is_negligible(s) == negligible_by_traces(s) == negligible, \
             texts
+
+
+def mixed_dk1_modules():
+    """(labels, module): seeded DK1 sums of K2 labels and Steinberg
+    modules, in a seeded basis that mixes the bc = 1 and bc = -1 blocks,
+    so bc is not diagonal; the last one's qdims cancel, and it is not
+    negligible."""
+    rng = random.Random(13)
+    steinberg = [IndecLabel.steinberg(r) for r in (0, 1)]
+    draws = [rng.sample(GUARD_LABELS, rng.randint(1, 2))
+             + rng.sample(steinberg, rng.randint(1, 2)) for _ in range(8)]
+    draws.append([IndecLabel.parse(t) for t in ("O(+1,0)", "O(+1,1)",
+                                                "St(1)")])
+    out = []
+    for labels in draws:
+        m = direct_sum([realize(lbl, "DK1") for lbl in labels])
+        steps = [(*rng.sample(range(m.dim), 2), rng.choice((-1, 1)))
+                 for _ in range(2 * m.dim)]
+        s = conjugated(m, steps)
+        assert check_module(s).ok
+        bc = s.actions["b"] * s.actions["c"]
+        assert any(i != j for i, j in bc.data), "bc is diagonal"
+        out.append((sorted(labels, key=IndecLabel.sort_key), s))
+    return out
+
+
+def test_dk1_blocks_in_a_mixing_basis():
+    """is_negligible, which tests only the bc = 1 block, equals the trace
+    definition on all of End(M), and identify returns the drawn labels."""
+    seen = set()
+    for labels, m in mixed_dk1_modules():
+        want = negligible_by_traces(m)
+        assert is_negligible(m) == want, labels
+        seen.add((want, qdim(m) == 0))
+        assert identify(m) == labels
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_is_negligible_solves_only_k2_systems_over_dk1(monkeypatch):
+    """The hom system of a DK1 module of qdim 0 is that of its bc = 1
+    block, a K2 module, with its free part peeled off."""
+    from greenring import ideal
+    built = []
+    hom_rows = ideal.hom_rows
+    monkeypatch.setattr(ideal, "hom_rows",
+                        lambda m, n: built.append(m) or hom_rows(m, n))
+    mods = [m for _, m in mixed_dk1_modules() if not qdim(m)]
+    assert len(mods) >= 4
+    for m in mods:
+        is_negligible(m)
+    assert len(built) == len(mods)
+    assert {b.algebra.name for b in built} == {"K2"}
 
 
 def test_a_nonzero_qdim_decides_before_any_hom_system(monkeypatch):
@@ -228,8 +280,10 @@ def test_a_nonzero_qdim_decides_before_any_hom_system(monkeypatch):
         assert is_negligible(m) is False
         assert not negligible_by_traces(m)
     assert built == []
-    # the spy sees the modules whose qdim is 0
-    assert is_negligible(st0) and built == [st0]
+    # the spy sees the modules whose qdim is 0; over DK1 only their bc = 1
+    # block, a K2 module, which is zero for a Steinberg module
+    assert is_negligible(st0)
+    assert [(b.algebra.name, b.dim) for b in built] == [("K2", 0)]
 
 
 def test_projectives_are_negligible_by_the_definition():

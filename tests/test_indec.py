@@ -283,7 +283,7 @@ def test_identify_dk1_with_bc_one_under_basis_change():
                    random.Random(5))
     assert check_module(m).ok
     assert m.actions["b"] * m.actions["c"] == RatMatrix.identity(m.dim)
-    _check_k_eigenbasis(rep.dk1_as_k2_actions(m))
+    _check_k_eigenbasis(rep.restrict_pi(m))
     assert identify(m) == labels
 
 

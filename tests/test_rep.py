@@ -120,18 +120,26 @@ def test_injective_hull_embeds():
     (["St(0)"], ["St(0)"]),
     (["St(1)"], ["St(1)"]),
     (["St(0)", "V(1)"], ["P(1)", "St(0)"]),
+    (["St(1)", "O(-1,0)", "St(0)"], ["P(0)", "St(0)", "St(1)"]),
 ])
 def test_projective_cover_and_injective_hull_over_dk1(summands, cover):
     """Each route of the DK1 cover: bc = 1 goes through K2, a Steinberg
-    module covers itself, and a mixed module is split by bc first."""
+    module covers itself, and a mixed module is split by bc first; each
+    in its realized basis and in a seeded basis change, which mixes the
+    bc blocks of a mixed module."""
     m = direct_sum([realize(IndecLabel.parse(t), "DK1") for t in summands])
-    p, cov = projective_cover(m)
-    hull, emb = injective_hull(m)
-    assert cov.rank() == m.dim and emb.rank() == m.dim
-    for lbl in ("a", "b", "c", "d"):
-        assert cov * p.actions[lbl] == m.actions[lbl] * cov
-        assert emb * m.actions[lbl] == hull.actions[lbl] * emb
-    assert identify(p) == [IndecLabel.parse(t) for t in cover]
+    changed = _basis_changed(m, random.Random(len(summands)))
+    if 0 < sum(t.startswith("St") for t in summands) < len(summands):
+        bc = changed.actions["b"] * changed.actions["c"]
+        assert any(i != j for i, j in bc.int_form()[0]), "bc is diagonal"
+    for m in (m, changed):
+        p, cov = projective_cover(m)
+        hull, emb = injective_hull(m)
+        assert cov.rank() == m.dim and emb.rank() == m.dim
+        for lbl in ("a", "b", "c", "d"):
+            assert cov * p.actions[lbl] == m.actions[lbl] * cov
+            assert emb * m.actions[lbl] == hull.actions[lbl] * emb
+        assert identify(p) == [IndecLabel.parse(t) for t in cover]
 
 
 def test_decompose_regular():
@@ -231,7 +239,9 @@ def _basis_changed(m, rng):
 
 
 def _fusion_pairs_by_dim():
-    """The 1296 products of the fusion sweep, sorted by dimension."""
+    """The 1600 ordered pairs of the fusion sweep's two label lists,
+    sorted by dimension: both lists hold V(0), P(0), V(1) and P(1), so
+    304 pairs repeat one of the 1296 distinct products."""
     sweep = _k2_labels(4, 0, []) + _k2_labels(0, 4, STANDARD_ETAS[3:5])
     return sorted(((a, b) for a in sweep for b in sweep),
                   key=lambda ab: ab[0].dim() * ab[1].dim())
@@ -604,7 +614,6 @@ def test_k_eigenbasis_equals_the_rat_route():
 FRACTION_BOUND = 958
 
 
-@pytest.mark.skipif(Rat is not Fraction, reason="counts fractions.Fraction")
 def test_oracle_fraction_count_stays_within_bound(monkeypatch):
     pairs = _fusion_pairs_by_dim()[::16]
     assert len(pairs) == 100
