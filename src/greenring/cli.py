@@ -20,8 +20,9 @@ import json
 import re
 import sys
 
-from .errors import (ExprSyntaxError, GreenRingError, InvalidIdealSpec,
-                     InvalidLabel, InvalidModule, OutOfRange, Unclassified)
+from .errors import (AlgebraMismatch, ExprSyntaxError, GreenRingError,
+                     InvalidIdealSpec, InvalidLabel, InvalidModule,
+                     OutOfRange, Unclassified)
 from .green import GreenElement, green_mul
 from .ideal import (IdealSpec, ideal_closure, ideal_contains, is_negligible,
                     qdim)
@@ -384,8 +385,8 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ExprSyntaxError, InvalidLabel, InvalidModule, InvalidIdealSpec,
-            OutOfRange, Unclassified, FileNotFoundError,
+    except (AlgebraMismatch, ExprSyntaxError, InvalidLabel, InvalidModule,
+            InvalidIdealSpec, OutOfRange, Unclassified, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

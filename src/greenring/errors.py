@@ -14,7 +14,7 @@ class OutOfRange(GreenRingError):
 
 
 class AlgebraMismatch(GreenRingError):
-    """Two modules over different algebras were combined."""
+    """A module is over the wrong algebra, or two modules' algebras differ."""
 
 
 class InvalidLabel(GreenRingError):

@@ -2,26 +2,28 @@
 
 Labels follow the text syntax V(r), P(r), O(+s,r), O(-s,r), M(n,r,eta),
 St(r).  realize() produces one canonical matrix presentation per label;
-identify() inverts it on arbitrary modules.  Each summand gets one
-candidate label, read off its actions in a K-eigenbasis (over K2: the
-head and radical K-eigenspaces, the sign of K on them, and eta from the
-head-to-radical pencil), and that candidate is certified by one explicit
-isomorphism to its realization.  The eta-parameter convention for the
-M-family is pinned down by the calibration test in the test suite, not
-by any outside source.
+identify() inverts it on arbitrary modules.  Each K2 summand gets one
+candidate label, read off its actions in a K-eigenbasis (the head and
+radical K-eigenspaces, the sign of K on them, and eta from the
+head-to-radical pencil), certified by one explicit isomorphism to its
+realization.  Over DK1 the bc = 1 block is a K2 module, and the bc = -1
+block's Steinberg copies are certified by one checked witness.  The
+eta-parameter convention for the M-family is pinned down by the
+calibration test in the test suite, not by any outside source.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import GreenRingError, InvalidLabel, OutOfRange
-from .hopf import build_dk1, build_km
+from .errors import AlgebraMismatch, GreenRingError, InvalidLabel, OutOfRange
+from .hopf import build_km
 from .ratlin import (ONE, Rat, RatMatrix, _echelon, kernel_basis,
                      rat_from_str, rat_to_str)
-from .rep import (ModuleRep, _k_eigenbasis, decompose, in_r0, inflate_pi,
-                  injective_hull, is_isomorphic, projective_cover,
-                  quotient_module, restrict_pi, submodule)
+from .rep import (ModuleRep, _bc_blocks, _k_eigenbasis, _steinberg_parities,
+                  decompose, inflate_pi, injective_hull, is_isomorphic,
+                  principal_projective, projective_cover, quotient_module,
+                  steinberg_module, submodule)
 
 
 class EtaPoint:
@@ -263,7 +265,7 @@ def realize(label, algebra="K2"):
 
 def _realize_fresh(label, algebra):
     if label.kind == "St":
-        return _steinberg_module(label.r)
+        return steinberg_module(label.r)
     m = _realize_k2(label)
     if algebra == "DK1":
         return inflate_pi(m)
@@ -278,7 +280,6 @@ def _realize_k2(label):
                                  "x1": RatMatrix.zeros(1, 1),
                                  "x2": RatMatrix.zeros(1, 1)})
     if label.kind == "P":
-        from .rep import principal_projective
         return principal_projective(k2, label.r)[0]
     if label.kind == "O+":
         return syzygy(label.s, label.r)
@@ -312,17 +313,6 @@ def _realize_k2(label):
                                  "x2": RatMatrix(2 * n, 2 * n, x2)})
 
 
-def _steinberg_module(r):
-    dk1 = build_dk1()
-    sign = ONE if r == 0 else -ONE
-    return ModuleRep(dk1, 2, {
-        "b": RatMatrix.diagonal([sign, -sign]),
-        "c": RatMatrix.diagonal([-sign, sign]),
-        "a": RatMatrix(2, 2, {(0, 1): ONE}),
-        "d": RatMatrix(2, 2, {(1, 0): Rat(2)}),
-    })
-
-
 def syzygy(k, r):
     """Omega^k V(r): iterated (co)kernels through projective covers.
 
@@ -348,31 +338,29 @@ def syzygy(k, r):
 
 
 def identify(m):
-    """Labels of all indecomposable summands of M, sorted canonically."""
-    labels = [identify_indecomposable(s) for s in decompose(m)]
+    """Labels of all indecomposable summands of M, sorted canonically; over
+    DK1 one per summand of its bc blocks (rep._bc_blocks)."""
+    if m.algebra.name == "DK1":
+        k2, st, _, _ = _bc_blocks(m)
+        labels = identify(k2) + [IndecLabel.steinberg(r)
+                                 for r in _steinberg_parities(st)]
+    else:
+        labels = [identify_indecomposable(s) for s in decompose(m)]
     labels.sort(key=lambda l: l.sort_key())
     return labels
 
 
 def identify_indecomposable(m):
-    """Label of a module already known to be indecomposable.
+    """Label of a K2 module already known to be indecomposable.
 
-    One candidate label is read off the actions (over K2, in a
-    K-eigenbasis: see _k2_candidate) and certified by one is_isomorphic
-    call against its realization.
+    One candidate label is read off the actions in a K-eigenbasis (see
+    _k2_candidate) and certified by one is_isomorphic call against its
+    realization.
     """
-    if m.algebra.name == "DK1":
-        if in_r0(m):
-            return identify_indecomposable(restrict_pi(m))
-        # not in r0 and indecomposable: must be a Steinberg module, and
-        # tr(bad) is +2 on St(0) and -2 on St(1)
-        tr = (m.actions["b"] * m.actions["a"] * m.actions["d"]).trace()
-        if tr in (2, -2):
-            label = IndecLabel.steinberg(0 if tr == 2 else 1)
-            if is_isomorphic(m, realize(label, "DK1"))[0]:
-                return label
-        raise GreenRingError(f"dim-{m.dim} DK1 module outside r0 is not "
-                             "Steinberg")
+    if m.algebra.name != "K2":
+        raise AlgebraMismatch(f"identify_indecomposable labels K2 modules, "
+                              f"not {m.algebra.name} ones; identify also "
+                              "labels DK1 modules")
     m = _k_eigenbasis(m)
     label = _k2_candidate(m)
     if label is not None and is_isomorphic(m, realize(label, "K2"))[0]:

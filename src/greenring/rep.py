@@ -26,10 +26,11 @@ and lambda a rational eigenvalue found by Sturm bisection.
 
 Over DK1 one seam, _bc_blocks, splits M once by the central involution
 bc.  On its +1 block both group-likes act alike, so DK1 acts through K2
-(restrict_pi), and decompose, projective_cover and ideal.is_negligible
-run the K2 routes there; its -1 block is a sum of the Steinberg modules
-St(0) and St(1), which are simple and projective.  The pivot of the
-quantum trace is K, and b over DK1 (pivot).
+(restrict_pi), and decompose, identify, projective_cover and
+is_negligible run the K2 routes there; its -1 block is a sum of the
+simple projectives St(0) and St(1), split by one checked basis change
+(_steinberg_parities), never by the meataxe.  The pivot of the quantum
+trace is K, and b over DK1 (pivot).
 
 Vectors are sparse dicts index -> Rat or int; quotient_module takes
 integer vectors only, and consumes them.  submodule and quotient_module
@@ -41,6 +42,7 @@ its maps from integer kernel vectors, with no Rat made.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from math import lcm
 
@@ -501,6 +503,48 @@ def principal_projective(algebra, r):
     return sub, incl
 
 
+@lru_cache(maxsize=None)
+def steinberg_module(r):
+    """St(r) over DK1 on the basis (v, dv/2), v in ker a with bv = (-1)^r v:
+    simple and projective, with c = -b (see _steinberg_parities)."""
+    sign = ONE if r == 0 else -ONE
+    return ModuleRep(build_dk1(), 2, {
+        "b": RatMatrix.diagonal([sign, -sign]),
+        "c": RatMatrix.diagonal([-sign, sign]),
+        "a": RatMatrix(2, 2, {(0, 1): ONE}),
+        "d": RatMatrix(2, 2, {(1, 0): Rat(2)}),
+    })
+
+
+def _steinberg_parities(st):
+    """The parities r_1..r_k of a DK1 module st on which bc = -1, checked
+    by one witness g: St(r_1) + ... + St(r_k) -> st.
+
+    On st, c = -b, d^2 = 0 and ad + da = 1 - bc = 2, so each v in ker a
+    with bv = (-1)^r v spans St(r) on the basis (v, dv/2).  One kernel
+    solve per sign finds the v; GreenRingError unless g = [v_1, dv_1/2,
+    v_2, ...] is square, of full rank, and intertwines every generator.
+    """
+    a, b, d = (st.actions[g] for g in "abd")
+    ident = RatMatrix.identity(st.dim)
+    parities, vecs = [], []
+    for r, shift in ((0, -ident), (1, ident)):
+        kernel = _rref_kernel(*_echelon(a.int_rows() + (b + shift).int_rows()),
+                              range(st.dim))
+        parities += [r] * len(kernel)
+        vecs += kernel
+    v = _int_columns(st.dim, vecs)
+    g = RatMatrix.from_columns([c for pair in zip(
+        v.col_dicts(), (d * v).scale(Rat(1, 2)).col_dicts()) for c in pair],
+        st.dim)
+    sts = direct_sum([steinberg_module(r) for r in parities], st.algebra)
+    if not (g.cols == st.dim == g.rank() and all(
+            st.actions[x] * g == g * sts.actions[x] for x in "abcd")):
+        raise GreenRingError(f"the bc = -1 block of dimension {st.dim} is "
+                             "not a sum of Steinberg modules")
+    return parities
+
+
 def _k_halves(k_act):
     """[(I + K)/2, (I - K)/2]: for an involution K, the projections onto
     its +1 and its -1 eigenspace."""
@@ -660,7 +704,7 @@ def decompose(m):
     if m.algebra.name == "DK1":
         k2, st, _, _ = _bc_blocks(m)
         return ([inflate_pi(s) for s in decompose(k2)]
-                + (_meataxe(st) if st.dim else []))
+                + [steinberg_module(r) for r in _steinberg_parities(st)])
     if m.algebra.name.startswith("K"):
         m = _k_eigenbasis(m)
         summands, rest = _peel_projectives(m)

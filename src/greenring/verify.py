@@ -15,12 +15,12 @@ from .green import (GreenElement, STANDARD_ETAS, dimension_character,
 from .hopf import build_dk1, build_km, check_hopf_axioms
 from .ideal import (IdealSpec, ideal_closure, ideal_contains, is_negligible,
                     is_quasi_dominated, qdim)
-from .indec import IndecLabel, identify, in_r0, realize
+from .indec import IndecLabel, identify, realize
 from .projcat import (build_skeleton, has_simple_image_direct,
                       has_simple_image_lemma, skeleton_check,
                       verify_auslander_iso)
 from .ratlin import Rat, RatMatrix
-from .rep import (decompose, direct_sum, is_isomorphic,
+from .rep import (decompose, direct_sum, in_r0, is_isomorphic,
                   principal_projective, projective_cover, tensor)
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: parsing, commands, exit codes, JSON output."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -10,7 +11,9 @@ from greenring.cli import (MAX_LABEL_DIM, eval_as_green, eval_as_module, main,
                            parse_expr)
 from greenring.errors import ExprSyntaxError
 from greenring.indec import IndecLabel, realize
-from test_indec import repeated_summand_module
+from greenring.hopf import build_km
+from greenring.rep import direct_sum, trivial_module
+from test_indec import _scrambled, repeated_summand_module
 
 
 def test_parse_expr_shapes():
@@ -85,6 +88,31 @@ def test_identify_repeated_summand(tmp_path, capsys):
     path.write_text(json.dumps(repeated_summand_module().to_json_dict()))
     assert main(["identify", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "2*O(+1,0) + O(-1,1)"
+
+
+def test_identify_over_dk1(tmp_path, capsys):
+    """A DK1 module in a basis that mixes its bc blocks: the bc = 1 block
+    takes the K2 route and the Steinberg copies are read off bc = -1."""
+    mod = direct_sum([realize(IndecLabel.parse(t), "DK1")
+                      for t in ("St(1)", "O(+1,0)", "St(0)")])
+    mod = _scrambled(mod, random.Random(2))
+    bc = mod.actions["b"] * mod.actions["c"]
+    assert any(i != j for i, j in bc.int_form()[0]), "bc is diagonal"
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(mod.to_json_dict()))
+    assert main(["identify", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "O(+1,0) + St(0) + St(1)"
+
+
+@pytest.mark.parametrize("m", (1, 3))
+def test_identify_rejects_a_module_over_an_algebra_with_no_labels(
+        tmp_path, capsys, m):
+    """A K1 or K3 module is a usage error, with no traceback."""
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(trivial_module(build_km(m)).to_json_dict()))
+    assert main(["identify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"not K{m} ones" in err
 
 
 def test_identify_missing_file(capsys):

@@ -5,18 +5,19 @@ import sys
 
 import pytest
 
-from greenring.errors import (GreenRingError, InvalidLabel, NonSplitField,
-                              NoSolution, NotInR0, OutOfRange, Unclassified)
+from greenring.errors import (AlgebraMismatch, GreenRingError, InvalidLabel,
+                              NonSplitField, NoSolution, NotInR0, OutOfRange,
+                              Unclassified)
 from greenring import indec, rep
 from greenring.green import STANDARD_ETAS
 from greenring.hopf import build_km
-from greenring.indec import (EtaPoint, IndecLabel, identify, inflate_pi,
-                             in_r0, realize, restrict_pi, syzygy)
+from greenring.indec import EtaPoint, IndecLabel, identify, realize, syzygy
 from greenring.ratlin import (Rat, RatMatrix, _scaled, block_diag,
                               kernel_basis, trace_form_radical)
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
-                           dual, is_isomorphic, principal_projective,
-                           quotient_module, radical_vectors, socle_vectors,
+                           dual, in_r0, inflate_pi, is_isomorphic,
+                           principal_projective, quotient_module,
+                           radical_vectors, restrict_pi, socle_vectors,
                            tensor, trivial_module)
 from greenring.verify import _k2_labels
 
@@ -289,20 +290,125 @@ def test_identify_dk1_with_bc_one_under_basis_change():
 
 @pytest.mark.parametrize("r", (0, 1))
 def test_steinberg_is_identified_with_one_certificate(r, monkeypatch):
-    """tr(rho(b) rho(a) rho(d)) is +2 on St(0) and -2 on St(1), and is
-    invariant under a basis change: it picks the one candidate."""
+    """St(r) in a basis where a is not the canonical one is identified by
+    one call to the checked witness of rep._steinberg_parities, with no
+    is_isomorphic call."""
     st = realize(IndecLabel.steinberg(r), "DK1")
     m = _conjugated(st, [(0, 1, 1), (1, 0, -2)])
     assert m.actions["a"] != st.actions["a"] and check_module(m).ok
+    witnessed, compared = [], []
+
+    def counted_witness(block):
+        witnessed.append(block.dim)
+        return rep._steinberg_parities(block)
+
+    monkeypatch.setattr(indec, "_steinberg_parities", counted_witness)
+    monkeypatch.setattr(indec, "is_isomorphic",
+                        lambda a, b: compared.append(b) or is_isomorphic(a, b))
+    assert identify(m) == [IndecLabel.steinberg(r)]
+    assert witnessed == [2]
+    assert compared == []
+
+
+def _mixed_steinberg_sums():
+    """(labels, module): seeded DK1 sums of St(0)^a, St(1)^b and r0
+    labels, in a seeded basis where bc is not diagonal."""
+    rng = random.Random(17)
+    st0, st1 = (IndecLabel.steinberg(r) for r in (0, 1))
+    draws = []
+    for _ in range(8):
+        a = rng.randint(0, 3)
+        draws.append([st0] * a + [st1] * rng.randint(a == 0, 3)
+                     + rng.sample(GUARD_LABELS, rng.randint(1, 2)))
+    draws.append([st0, st1, st1] + [IndecLabel.parse(t) for t in (
+        "P(1)", "M(2,0,2/3)")])
+    out = []
+    for labels in draws:
+        m = _scrambled(direct_sum([realize(l, "DK1") for l in labels]), rng)
+        assert check_module(m).ok
+        bc = m.actions["b"] * m.actions["c"]
+        assert any(i != j for i, j in bc.int_form()[0]), "bc is diagonal"
+        out.append((sorted(labels, key=IndecLabel.sort_key), m))
+    return out
+
+
+def test_steinberg_copies_are_split_by_one_checked_witness(monkeypatch):
+    """identify returns the drawn labels, with no is_isomorphic call on a
+    DK1 module: the Steinberg copies are certified by the witness of
+    rep._steinberg_parities.  decompose returns the canonical St(r)."""
     calls = []
 
     def counted(a, b):
-        calls.append(b)
+        calls.append(a.algebra.name)
         return is_isomorphic(a, b)
 
     monkeypatch.setattr(indec, "is_isomorphic", counted)
-    assert identify(m) == [IndecLabel.steinberg(r)]
-    assert calls == [st]
+    seen = set()
+    for labels, m in _mixed_steinberg_sums():
+        assert identify(m) == labels
+        st = [s for s in decompose(m) if not in_r0(s)]
+        want = [realize(l, "DK1") for l in labels if l.kind == "St"]
+        assert len(st) == len(want)
+        assert all(s is w for s, w in zip(st, want))
+        seen.update(l.kind for l in labels)
+    assert {"St", "P", "M"} <= seen
+    assert set(calls) == {"K2"}
+
+
+@pytest.mark.parametrize("gen, scale", (("d", 3), ("a", 0)))
+def test_a_broken_steinberg_block_fails_its_witness(gen, scale):
+    """St(0) + St(1) with d scaled by 3, so ad + da != 2, or with a = 0, so
+    ker a is too large: bc = -1, but the witness fails."""
+    m = direct_sum([realize(IndecLabel.steinberg(r), "DK1") for r in (0, 1)])
+    m = ModuleRep(m.algebra, m.dim,
+                  dict(m.actions, **{gen: m.actions[gen].scale(scale)}))
+    assert m.actions["b"] * m.actions["c"] == -RatMatrix.identity(m.dim)
+    assert not check_module(m).ok
+    for f in (identify, decompose):
+        with pytest.raises(GreenRingError, match="not a sum of Steinberg"):
+            f(m)
+
+
+@pytest.mark.parametrize("texts", (("O(+16,0)", "St(1)"),
+                                   ("M(8,0,1)", "St(0)")))
+def test_no_dk1_module_reaches_the_meataxe(texts, monkeypatch):
+    """The Steinberg block is split by its witness, and the bc = 1 blocks
+    of these products are free: the meataxe never runs."""
+    calls = []
+    meataxe = rep._meataxe
+    monkeypatch.setattr(rep, "_meataxe", lambda m: calls.append(m)
+                        or meataxe(m))
+    m = tensor(*(realize(IndecLabel.parse(t), "DK1") for t in texts))
+    labels = identify(m)
+    assert sum(l.dim() for l in labels) == m.dim
+    assert len(decompose(m)) == len(labels)
+    assert calls == []
+
+
+@pytest.mark.parametrize("texts, systems", ((("O(+8,0)", "O(-8,1)"), 2),
+                                            (("P(0)", "O(+8,1)"), 0)))
+def test_dk1_identify_solves_the_k2_hom_systems(texts, systems, monkeypatch):
+    """identify of an r0 product over DK1 solves as many hom systems as
+    over K2: the bc = 1 block takes the K2 route, and a peeled P(r) is the
+    cached realization, so its certificate needs no hom system."""
+    counts = []
+    hom_basis = rep.hom_basis
+    monkeypatch.setattr(rep, "hom_basis",
+                        lambda m, n: counts.append(m) or hom_basis(m, n))
+    labels, solved = {}, {}
+    for alg in ("K2", "DK1"):
+        m = tensor(*(realize(IndecLabel.parse(t), alg) for t in texts))
+        counts.clear()
+        labels[alg] = identify(m)
+        solved[alg] = len(counts)
+    assert labels["K2"] == labels["DK1"]
+    assert solved == {"K2": systems, "DK1": systems}
+
+
+@pytest.mark.parametrize("text", ("St(0)", "O(+1,0)"))
+def test_identify_indecomposable_rejects_a_dk1_module(text):
+    with pytest.raises(AlgebraMismatch, match="not DK1 ones"):
+        indec.identify_indecomposable(realize(IndecLabel.parse(text), "DK1"))
 
 
 def test_submodule_rejects_a_span_that_is_not_a_submodule():
