@@ -386,8 +386,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (AlgebraMismatch, ExprSyntaxError, InvalidLabel, InvalidModule,
-            InvalidIdealSpec, OutOfRange, Unclassified, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+            InvalidIdealSpec, OutOfRange, Unclassified, OSError,
+            UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GreenRingError as exc:

@@ -24,10 +24,13 @@ class InvalidLabel(GreenRingError):
 class Unclassified(GreenRingError):
     """An indecomposable module that no classified label names.
 
-    Every label names a module whose endomorphism residue field is Q.  An
-    indecomposable K2 module whose residue field is larger, such as a band
-    module at an eta of degree 2 over Q, has no label.  For a module whose
-    residue field is Q, this error is a bug.
+    Every label names a module whose endomorphism residue field is Q.  A
+    K2 band module at a point of P^1 of degree d > 1 over Q, such as the
+    band of t^2 + 1 (d = 2) or of t^4 - 2 (d = 4), has residue field of
+    degree d and no label; the Kronecker route raises this error when the
+    rational points of the regular part of a pencil account for fewer
+    dimensions than its size, and names the degree left over.  For a
+    module whose residue field is Q, this error is a bug.
     """
 
 
@@ -40,8 +43,10 @@ class InvalidIdealSpec(GreenRingError):
 
 
 class NonSplitField(GreenRingError):
-    """A module could be neither split at a rational eigenvalue of a
-    sampled endomorphism nor certified indecomposable."""
+    """The meataxe could neither split a module at a rational eigenvalue of
+    a sampled endomorphism nor certify it indecomposable.  Only the
+    meataxe raises it, which decomposes modules over K1 and K3; K2 and DK1
+    modules take the Kronecker route."""
 
 
 class NotInR0(GreenRingError):

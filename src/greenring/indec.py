@@ -2,14 +2,21 @@
 
 Labels follow the text syntax V(r), P(r), O(+s,r), O(-s,r), M(n,r,eta),
 St(r).  realize() produces one canonical matrix presentation per label;
-identify() inverts it on arbitrary modules.  Each K2 summand gets one
-candidate label, read off its actions in a K-eigenbasis (the head and
-radical K-eigenspaces, the sign of K on them, and eta from the
-head-to-radical pencil), certified by one explicit isomorphism to its
-realization.  Over DK1 the bc = 1 block is a K2 module, and the bc = -1
+identify() inverts it on arbitrary modules.  Over K2 the projective
+summands are peeled off and the remainder is split into Kronecker blocks
+of the pencil (x1, x2) (rep.kronecker_route); each block is labelled by
+its shape (shape_label): an L block of size s is V(r) (s = 0) or O(+s, r),
+an LT block O(-s, r), and a regular Jordan block of size n at the point
+eta of P^1 is M(n, r, eta), with r read off the sign of K on the head.
+One witness certifies every label of a module at once: the route's basis
+change, times the cached change from each block to its realization
+(_block_change), is checked to intertwine M with the sum of the
+realizations.  Over DK1 the bc = 1 block is a K2 module, and the bc = -1
 block's Steinberg copies are certified by one checked witness.  The
-eta-parameter convention for the M-family is pinned down by the
-calibration test in the test suite, not by any outside source.
+eta-parameter convention for the M-family, eta = tr(A1^-1 A2)/n for the
+head-to-radical blocks Ai of xi and infinity when A1 is singular, is
+pinned down by the calibration test in the test suite, not by any
+outside source.
 """
 
 from __future__ import annotations
@@ -18,10 +25,13 @@ import re
 
 from .errors import AlgebraMismatch, GreenRingError, InvalidLabel, OutOfRange
 from .hopf import build_km
-from .ratlin import (ONE, Rat, RatMatrix, _echelon, kernel_basis,
-                     rat_from_str, rat_to_str)
-from .rep import (ModuleRep, _bc_blocks, _k_eigenbasis, _steinberg_parities,
-                  decompose, inflate_pi, injective_hull, is_isomorphic,
+from .ratlin import (Rat, RatMatrix, block_diag, kernel_basis, rat_from_str,
+                     rat_to_str)
+# decompose and is_isomorphic are imported for the callers that take them
+# from here; identify calls neither
+from .rep import (_bc_blocks, _k_eigen_change, _steinberg_parities,
+                  check_witness, decompose, inflate_pi, injective_hull,
+                  inverse, is_isomorphic, kronecker_block, kronecker_route,
                   principal_projective, projective_cover, quotient_module,
                   steinberg_module, submodule)
 
@@ -273,44 +283,18 @@ def _realize_fresh(label, algebra):
 
 
 def _realize_k2(label):
-    k2 = build_km(2)
+    """V(r) and M(n, r, eta) are their Kronecker blocks, P(r) the cached
+    principal projective, and O(+-s, r) the syzygy of V(r)."""
+    sign = 1 if label.r == 0 else -1
     if label.kind == "V":
-        sign = ONE if label.r == 0 else -ONE
-        return ModuleRep(k2, 1, {"K": RatMatrix.diagonal([sign]),
-                                 "x1": RatMatrix.zeros(1, 1),
-                                 "x2": RatMatrix.zeros(1, 1)})
+        return kronecker_block(("L", sign, 0, None))
     if label.kind == "P":
-        return principal_projective(k2, label.r)[0]
+        return principal_projective(build_km(2), label.r)[0]
     if label.kind == "O+":
         return syzygy(label.s, label.r)
     if label.kind == "O-":
         return syzygy(-label.s, label.r)
-    # M-family: basis a_1..a_n then b_1..b_n
-    n = label.n
-    sign = ONE if label.r == 0 else -ONE
-    kdata = {}
-    for i in range(n):
-        kdata[(i, i)] = sign
-        kdata[(n + i, n + i)] = -sign
-    x1 = {}
-    x2 = {}
-    if label.eta.is_infinite:
-        # xi2 a_i = b_i ; xi1 a_i = b_{i-1}
-        for i in range(n):
-            x2[(n + i, i)] = ONE
-            if i > 0:
-                x1[(n + i - 1, i)] = ONE
-    else:
-        ev = label.eta.value
-        for i in range(n):
-            x1[(n + i, i)] = ONE
-            if ev:
-                x2[(n + i, i)] = ev
-            if i > 0:
-                x2[(n + i - 1, i)] = ONE
-    return ModuleRep(k2, 2 * n, {"K": RatMatrix(2 * n, 2 * n, kdata),
-                                 "x1": RatMatrix(2 * n, 2 * n, x1),
-                                 "x2": RatMatrix(2 * n, 2 * n, x2)})
+    return kronecker_block(("M", sign, label.n, label.eta.value))
 
 
 def syzygy(k, r):
@@ -338,96 +322,108 @@ def syzygy(k, r):
 
 
 def identify(m):
-    """Labels of all indecomposable summands of M, sorted canonically; over
-    DK1 one per summand of its bc blocks (rep._bc_blocks)."""
+    """Labels of all indecomposable summands of M, sorted canonically.
+
+    Over K2 the peeled P(r) are labelled by the peel, and each Kronecker
+    block of the remainder by its shape (shape_label); one witness
+    certifies the whole remainder: g * (+) c_i intertwines it with the sum
+    of the realizations, c_i the cached change of block i (_block_change).
+    Over DK1 one label per summand of its bc blocks (rep._bc_blocks).
+    """
     if m.algebra.name == "DK1":
         k2, st, _, _ = _bc_blocks(m)
         labels = identify(k2) + [IndecLabel.steinberg(r)
                                  for r in _steinberg_parities(st)]
+    elif m.algebra.name == "K2":
+        summands, rest, shapes, g = kronecker_route(m)
+        labels = _witnessed(rest, shapes, g)[0]
+        # the peel returns the cached principal projectives
+        p0 = principal_projective(m.algebra, 0)[0]
+        labels += [IndecLabel.proj(0 if s is p0 else 1) for s in summands]
     else:
-        labels = [identify_indecomposable(s) for s in decompose(m)]
+        raise AlgebraMismatch(f"identify labels K2 and DK1 modules, not "
+                              f"{m.algebra.name} ones")
     labels.sort(key=lambda l: l.sort_key())
     return labels
 
 
-def identify_indecomposable(m):
-    """Label of a K2 module already known to be indecomposable.
+def witness(m):
+    """(labels, g) for a K2 module M with no projective summand, checked:
+    M.actions[x] * g == g * (+) realize(labels[i]).actions[x] for every
+    generator x, with g invertible.  identify returns the same labels,
+    sorted; GreenRingError when M has a projective summand."""
+    summands, rest, shapes, g = kronecker_route(m)
+    if summands:
+        raise GreenRingError("witness covers modules with no projective "
+                             "summand")
+    labels, g = _witnessed(rest, shapes, g)
+    change = _k_eigen_change(m)
+    return labels, g if change is None else change[1] * g
 
-    One candidate label is read off the actions in a K-eigenbasis (see
-    _k2_candidate) and certified by one is_isomorphic call against its
-    realization.
-    """
+
+def _witnessed(m, shapes, g):
+    """(labels, g * (+) c_i) for the Kronecker split (shapes, g) of M, with
+    c_i = _block_change(labels[i]), after the one witness check."""
+    labels = [shape_label(s) for s in shapes]
+    if labels:
+        g = g * block_diag([_block_change(l) for l in labels])
+        check_witness(m, g, [realize(l, "K2") for l in labels])
+    return labels, g
+
+
+def identify_indecomposable(m):
+    """Label of a K2 module that identify finds indecomposable;
+    GreenRingError when it finds another number of summands."""
     if m.algebra.name != "K2":
         raise AlgebraMismatch(f"identify_indecomposable labels K2 modules, "
                               f"not {m.algebra.name} ones; identify also "
                               "labels DK1 modules")
-    m = _k_eigenbasis(m)
-    label = _k2_candidate(m)
-    if label is not None and is_isomorphic(m, realize(label, "K2"))[0]:
-        return label
-    raise GreenRingError(
-        f"dim-{m.dim} indecomposable matched no classified label")
+    labels = identify(m)
+    if len(labels) != 1:
+        raise GreenRingError(f"a dim-{m.dim} module with {len(labels)} "
+                             "summands is not indecomposable")
+    return labels[0]
 
 
-def _k2_candidate(m):
-    """The one label an indecomposable K2 module with diagonal K can carry,
-    read off its actions; None when the counts fit no label.
+def shape_label(shape):
+    """The label of the Kronecker block rep.kronecker_block(shape).
 
-    If x1.x2 != 0, M is P(r), and K acts on the socle im(x1.x2) by
-    (-1)^r.  Otherwise x1 and x2 map one K-eigenspace, the head (sign
-    sigma), onto the other, the radical: s+1 of 2s+1 dimensions in the
-    head is O(+s,r), s of 2s+1 is O(-s,r), and n of 2n is M(n,r,eta).  On
-    V(r) and O(+-s,r) tr K = (-1)^(r+s); on M(n,r,eta) sigma = (-1)^r.
+    The head sign is (-1)^r on M(n, r, eta).  On V(r) and O(+-s, r),
+    tr K = (-1)^(r+s): an L block of size s has s + 1 heads and s radical
+    vectors, so tr K is the head sign, and an LT block one head fewer than
+    radical vectors, so tr K is minus the head sign.
     """
-    d = m.dim
-    k_diag, _ = m.actions["K"].int_form()  # a positive multiple of K
-    signs = [k_diag.get((j, j), 0) for j in range(d)]
-    x12 = m.word_action(m.algebra.index[(1, 2)])
-    if not x12.is_zero():
-        i, _ = next(iter(x12.int_form()[0]))
-        return IndecLabel.proj(0 if signs[i] > 0 else 1)
-    if d == 1:
-        return IndecLabel.simple(0 if signs[0] > 0 else 1)
-    cols = {j for g in ("x1", "x2") for _, j in m.actions[g].int_form()[0]}
-    if not cols:
-        return None
-    sigma = signs[min(cols)]
-    head = [j for j in range(d) if signs[j] == sigma]
-    if d % 2:
-        s = d // 2
-        r = 0 if m.actions["K"].trace() == (-1) ** s else 1
-        if len(head) == s + 1:
-            return IndecLabel.syz_pos(s, r)
-        if len(head) == s:
-            return IndecLabel.syz_neg(s, r)
-        return None
-    if len(head) != d // 2:
-        return None
-    rad = [i for i in range(d) if signs[i] != sigma]
-    return IndecLabel.mtype(d // 2, 0 if sigma > 0 else 1,
-                            _pencil_eta(m, head, rad))
+    kind, sign, size, eta = shape
+    if kind == "M":
+        return IndecLabel.mtype(size, 0 if sign > 0 else 1, EtaPoint(eta))
+    trace = sign if kind == "L" else -sign
+    r = (trace < 0) ^ (size % 2)
+    if kind == "LT":
+        return IndecLabel.syz_neg(size, r)
+    return IndecLabel.syz_pos(size, r) if size else IndecLabel.simple(r)
 
 
-def _pencil_eta(m, head, rad):
-    """eta = tr(A1^-1 A2)/n, Ai the block of xi from the head columns to
-    the radical rows; inf when A1 is singular.
+_change_cache = {}
 
-    One reduced echelon form of [A1 | A2] gives it: A1 is invertible iff
-    the pivots are the first n columns, and then the reduced rows are
-    [I | A1^-1 A2].
+
+def _block_change(label):
+    """c with realize(label) * h = h * B and c = h^-1, B the Kronecker
+    block of the label: g * c carries realize(label) to a summand whose
+    block is B.  realize builds V(r) and M(n, r, eta) as their blocks, so
+    c is the identity there; for O(+-s, r), in the syzygy basis, c is made
+    on first use by the same route on realize(label).  A wrong route or a
+    wrong cached change fails the witness of identify.
     """
-    n = len(head)
-    pos = {j: b for b, j in enumerate(head)}
-    pos.update({m.dim + j: n + b for b, j in enumerate(head)})
-    at = {i: a for a, i in enumerate(rad)}
-    rows = [{} for _ in rad]
-    ints, _ = m.actions["x1"].hstack(m.actions["x2"]).int_form()
-    for (i, j), v in ints.items():
-        if i in at and j in pos:
-            rows[at[i]][pos[j]] = v
-    pivot_cols, pivot_rows = _echelon(rows)
-    if pivot_cols != list(range(n)):
-        return EtaPoint.infinity()
-    tr = sum(Rat(row.get(n + c, 0), row[c])
-             for c, row in zip(pivot_cols, pivot_rows))
-    return EtaPoint(tr / n)
+    c = _change_cache.get(label)
+    if c is None and label.kind in ("V", "M"):
+        c = _change_cache[label] = RatMatrix.identity(label.dim())
+    elif c is None:
+        m = realize(label, "K2")
+        change = _k_eigen_change(m)
+        shapes, g = kronecker_route(m)[2:]
+        if [shape_label(s) for s in shapes] != [label]:
+            raise GreenRingError(f"the Kronecker route does not read "
+                                 f"{label} off its realization")
+        h = g if change is None else change[1] * g
+        c = _change_cache[label] = inverse(h)
+    return c

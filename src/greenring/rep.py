@@ -17,10 +17,18 @@ K-stable subspace is the union of those of its two eigenspace parts; so
 K grades every hom system solved under decompose.  Then the
 projective summands are split off (the top odd word acts nonzero exactly
 on them, and the free part, spanned by the odd words applied to
-preimages of its image, splits because the algebra is self-injective);
-the remainder is handled by the endomorphism-algebra meataxe: the
-trace-form radical of End(M) certifies indecomposable modules (End(M)
-local), and every other module is split by the Fitting split of
+preimages of its image, splits because the algebra is self-injective).
+Over K2 the remainder has rad^2 = 0, so it is a pair of Kronecker
+pencils (x1, x2) from the head to the radical, one for each sign of K on
+the head (the separated-quiver functor), and kronecker_route splits each
+into its Kronecker blocks (Gantmacher, The Theory of Matrices II, Ch.
+XII) by Wong sequences of subspaces: L blocks (V and O(+s)), LT blocks
+(O(-s)) and Jordan blocks at the rational points of P^1 (M(n, r, eta)).
+Its basis change is checked by matrix equality (check_witness); no
+End(M), hom system or isomorphism test is solved.  Over the other
+K-type algebras the remainder goes to the endomorphism-algebra meataxe:
+the trace-form radical of End(M) certifies indecomposable modules
+(End(M) local), and every other module is split by the Fitting split of
 theta - lambda, for theta in a sample drawn from a basis of End(M)/rad
 and lambda a rational eigenvalue found by Sturm bisection.
 
@@ -44,7 +52,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import comb, lcm
 
 from .errors import (AlgebraMismatch, GreenRingError, InvalidLabel,
                      InvalidModule, NonSplitField, NotInR0, OutOfRange,
@@ -52,7 +60,7 @@ from .errors import (AlgebraMismatch, GreenRingError, InvalidLabel,
 from .hopf import build_dk1, build_km, get_algebra, jacobson_radical
 from .ratlin import (ONE, ZERO, Rat, RatMatrix, _echelon, _int_columns,
                      _normalized, _rref_kernel, _scaled, block_diag,
-                     kernel_dicts, minimal_polynomial,
+                     SpanRREF, kernel_dicts, minimal_polynomial,
                      rat_from_str, rat_to_str, rational_roots,
                      span_coordinates, squarefree_part, trace_form_radical)
 
@@ -578,9 +586,20 @@ def _k_eigenbasis(m):
     P^-1 are rows of (I + K)/2 and (I - K)/2: no elimination is needed.
     Both P and P^-1 are built from integer rows.
     """
+    change = _k_eigen_change(m)
+    if change is None:
+        return m
+    p_inv, p = change
+    return ModuleRep(m.algebra, m.dim, {lbl: p_inv * a * p
+                                        for lbl, a in m.actions.items()})
+
+
+def _k_eigen_change(m):
+    """(P^-1, P) for the basis change P of _k_eigenbasis; None when K is
+    already diagonal."""
     k_act = m.actions["K"]
     if all(i == j for i, j in k_act.int_form()[0]):
-        return m
+        return None
     plus, minus = _k_eigen_split(k_act, m.dim)
     halves = _k_halves(k_act)
     den = lcm(*[h.int_form()[1] for h in halves])
@@ -591,9 +610,7 @@ def _k_eigenbasis(m):
                  for vec, _ in vecs]
     p_inv = _normalized(m.dim, m.dim, {(i, j): v for i, row in enumerate(rows)
                                        for j, v in row.items()}, den)
-    p = _int_columns(m.dim, plus + minus)
-    return ModuleRep(m.algebra, m.dim, {lbl: p_inv * a * p
-                                        for lbl, a in m.actions.items()})
+    return p_inv, _int_columns(m.dim, plus + minus)
 
 
 def projective_cover(m):
@@ -698,19 +715,514 @@ def _peel_projectives(m):
 
 
 def decompose(m):
-    """Indecomposable direct summands of M (a list of ModuleRep)."""
+    """Indecomposable direct summands of M (a list of ModuleRep).
+
+    Over K2 these are the peeled P(r) and the canonical Kronecker blocks
+    of the remainder (kronecker_route), certified by its witness; over DK1
+    the same for the bc = 1 block plus the Steinberg copies; over the
+    other K-type algebras the remainder goes to the meataxe.
+    """
     if m.dim == 0:
         return []
     if m.algebra.name == "DK1":
         k2, st, _, _ = _bc_blocks(m)
         return ([inflate_pi(s) for s in decompose(k2)]
                 + [steinberg_module(r) for r in _steinberg_parities(st)])
+    if m.algebra.name == "K2":
+        summands, rest, shapes, g = kronecker_route(m)
+        blocks = [kronecker_block(s) for s in shapes]
+        check_witness(rest, g, blocks)
+        return summands + blocks
     if m.algebra.name.startswith("K"):
         m = _k_eigenbasis(m)
         summands, rest = _peel_projectives(m)
         if summands:
             return summands + decompose(rest)
     return _meataxe(m)
+
+
+# ---------------------------------------------------------------------
+# the Kronecker route: K2 modules with no free part
+
+
+def kronecker_route(m):
+    """A K2 module split as (projectives, rest, shapes, g).
+
+    M is moved to a K-eigenbasis, its free part is peeled off
+    (_peel_projectives), and the remainder rest is split by
+    _kronecker_split: rest.actions[x] * g == g * (+) kronecker_block(s)
+    for the s in shapes.  The caller checks that witness (check_witness).
+    """
+    summands, rest = _peel_projectives(_k_eigenbasis(m))
+    return (summands, rest) + _kronecker_split(rest)
+
+
+def check_witness(m, g, blocks):
+    """GreenRingError unless g is an invertible intertwiner from the direct
+    sum of the modules blocks to M: g is square of full rank and
+    m.actions[x] * g == g * (+) blocks[i].actions[x] for every generator."""
+    target = direct_sum(blocks, m.algebra)
+    if not (g.rows == g.cols == m.dim == target.dim and g.rank() == m.dim
+            and all(m.actions[x] * g == g * target.actions[x]
+                    for x, _ in m.algebra.generators)):
+        raise GreenRingError(f"the basis change of a dim-{m.dim} module "
+                             "fails its witness check")
+
+
+def inverse(g):
+    """g^-1 for a square RatMatrix g, from one _echelon call; raises
+    GreenRingError when g is singular."""
+    if g.rows != g.cols:
+        raise GreenRingError("the matrix is not invertible")
+    # g = ints / den, so g^-1 = den ints^-1
+    den = g.int_form()[1]
+    sols, kernel = _solve(g.transpose().int_rows(),
+                          [{i: 1} for i in range(g.rows)])
+    if kernel:
+        raise GreenRingError("the matrix is not invertible")
+    return _int_columns(g.cols, [({j: v * den for j, v in a.items()}, sden)
+                                 for a, sden in sols])
+
+
+def kronecker_block(shape):
+    """The canonical K2 module of a Kronecker block (kind, sign, size, eta):
+    the head vectors first, on which K is sign, then the radical vectors.
+
+    - ("L", sign, e, None): heads v_0..v_e and radical w_1..w_e, x1 v_k =
+      w_k = x2 v_(k-1), x1 v_0 = x2 v_e = 0; V(r) for e = 0, else O(+e, r).
+    - ("LT", sign, e, None): heads u_1..u_e and radical t_0..t_e, x1 u_k =
+      t_k and x2 u_k = t_(k-1); O(-e, r).
+    - ("M", sign, n, eta): heads a_1..a_n and radical b_1..b_n; x1 a_i =
+      b_i and x2 a_i = eta b_i + b_(i-1) for a rational eta, x2 a_i = b_i
+      and x1 a_i = b_(i-1) for eta None, the point at infinity; M(n, r,
+      eta), the realization of indec.realize.
+    """
+    kind, sign, size, eta = shape
+    heads = size + 1 if kind == "L" else size
+    dim = heads + (size + 1 if kind == "LT" else size)
+    x1, x2 = {}, {}
+    if kind == "L":
+        for k in range(1, size + 1):
+            x1[(size + k, k)] = x2[(size + k, k - 1)] = 1
+    elif kind == "LT":
+        for k in range(1, size + 1):
+            x1[(size + k, k - 1)] = x2[(size + k - 1, k - 1)] = 1
+    elif eta is None:
+        for i in range(size):
+            x2[(size + i, i)] = 1
+            if i:
+                x1[(size + i - 1, i)] = 1
+    else:
+        for i in range(size):
+            x1[(size + i, i)] = 1
+            if eta:
+                x2[(size + i, i)] = eta
+            if i:
+                x2[(size + i - 1, i)] = 1
+    k_diag = [sign] * heads + [-sign] * (dim - heads)
+    return ModuleRep(build_km(2), dim, {"K": RatMatrix.diagonal(k_diag),
+                                        "x1": RatMatrix(dim, dim, x1),
+                                        "x2": RatMatrix(dim, dim, x2)})
+
+
+def _kronecker_split(m):
+    """(shapes, g) for a K2 module M with diagonal K and no free part: g's
+    columns are, block by block, the head and then the radical vectors of
+    the Kronecker blocks kronecker_block(s), s in shapes.
+
+    x1 x2 acts as zero on M (GreenRingError otherwise), so rad^2 = 0: rad M
+    is spanned by the columns of x1 and x2, the head coordinates (those
+    that are no pivot of rad M) span a K-stable complement H, and M is the
+    sum over the signs sigma of K of H_sigma + x.H_sigma.  Each summand is
+    the pencil (x1, x2): H_sigma -> rad M, split by _pencil_blocks; the
+    radical vectors of a block are x1 and x2 applied to its heads.  All of
+    it runs on integers: x1 and x2 are scaled by one common denominator,
+    which scales each block's columns alike.
+    """
+    x1, x2 = m.actions["x1"], m.actions["x2"]
+    if not (x1 * x2).is_zero():
+        raise GreenRingError("x1 x2 acts nonzero on a module with no free "
+                             "part")
+    d = m.dim
+    (i1, d1), (i2, d2) = x1.int_form(), x2.int_form()
+    den = lcm(d1, d2)
+    cols1, cols2 = [{} for _ in range(d)], [{} for _ in range(d)]
+    for ints, f, cols in ((i1, den // d1, cols1), (i2, den // d2, cols2)):
+        for (i, j), v in ints.items():
+            cols[j][i] = v * f
+    pivots = set(_echelon([dict(c) for c in cols1 + cols2 if c],
+                          reduced=False)[0])
+    k_diag, _ = m.actions["K"].int_form()
+    positive = [k_diag.get((j, j), 0) > 0 for j in range(d)]
+    shapes, columns = [], []
+    for sign in (True, False):
+        hs = [j for j in range(d) if j not in pivots and positive[j] == sign]
+        q = sum(positive[j] != sign for j in pivots)
+        for kind, size, eta, heads in _pencil_blocks(
+                [cols1[j] for j in hs], [cols2[j] for j in hs], q):
+            heads = [{hs[j]: v for j, v in h.items()} for h in heads]
+            if kind == "L":
+                rad = [_lin(cols1, h) for h in heads[1:]]
+            elif kind == "LT":
+                rad = [_lin(cols2, heads[0])] + [_lin(cols1, h)
+                                                 for h in heads]
+            else:
+                rad = [_lin(cols1 if eta is not None else cols2, h)
+                       for h in heads]
+            shapes.append((kind, 1 if sign else -1, size, eta))
+            columns += [{i: v * den for i, v in h.items()} for h in heads]
+            columns += rad
+    if len(columns) != d:
+        raise GreenRingError(f"the Kronecker blocks of a dim-{d} module "
+                             f"span {len(columns)} vectors")
+    return shapes, _int_columns(d, [(c, 1) for c in columns])
+
+
+def _lin(vecs, coeffs):
+    """sum of coeffs[i] * vecs[i], for sparse dicts coeffs and vecs[i]: the
+    image of coeffs under the map whose columns are vecs."""
+    out = {}
+    for j, c in coeffs.items():
+        for i, w in vecs[j].items():
+            out[i] = out.get(i, 0) + c * w
+    return {i: w for i, w in out.items() if w}
+
+
+def _solve(images, targets=()):
+    """(solutions, kernel) for sparse integer vectors, from one _echelon
+    call: solutions[t] = (a, den) with sum a[j] images[j] = den targets[t],
+    a 0 at the free columns; kernel a basis of the relations among the
+    images, in normal form (_rref_kernel) up to scale, so a relation whose
+    free column is f meets only images[0..f].  Raises GreenRingError when a
+    target is outside the span."""
+    k = len(images)
+    rows = {}
+    for j, vec in enumerate(chain(images, targets)):
+        f = 1 if j < k else -1
+        for i, v in vec.items():
+            rows.setdefault(i, {})[j] = f * v
+    ncols = k + len(targets)
+    pivot_cols, pivot_rows = _echelon(list(rows.values()))
+    if pivot_cols and pivot_cols[-1] >= k:
+        raise GreenRingError("a vector is outside the span it is solved in")
+    pivot_set = set(pivot_cols)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    solutions, kernel = [], []
+    for f, (vec, kden) in zip(free, _rref_kernel(pivot_cols, pivot_rows,
+                                                 range(ncols))):
+        a = {j: v for j, v in vec.items() if j < k}
+        if f < k:
+            kernel.append(a)
+        else:
+            solutions.append((a, kden))
+    return solutions, kernel
+
+
+def _extend(chain_, vecs, solution):
+    """Append sum a[j] vecs[j] / den to the chain of integer vectors (a / den
+    itself for vecs None), for solution = (a, den), scaling the whole chain
+    by den to stay integral."""
+    a, den = solution
+    if den != 1:
+        chain_[:] = [{i: v * den for i, v in w.items()} for w in chain_]
+    chain_.append(a if vecs is None else _lin(vecs, a))
+
+
+def _basis(vecs):
+    """A basis of the span of the sparse integer vectors: their reduced
+    echelon basis, as primitive integer vectors."""
+    return _echelon([dict(v) for v in vecs if v])[1]
+
+
+def _preimage(cols, basis):
+    """A basis of {v : A v in span(basis)}, A the map with columns cols."""
+    p = len(cols)
+    kernel = _solve(list(cols) + list(basis))[1]
+    return _basis([{j: c for j, c in v.items() if j < p} for v in kernel])
+
+
+def _adapted(levels, start=()):
+    """(k, v) for a basis of the span of all levels adapted to them: each v
+    of levels[k] that is independent of start, of the earlier levels and
+    of the vectors taken before it."""
+    span = SpanRREF()
+    for v in start:
+        span.add(v)
+    return [(k, v) for k, level in enumerate(levels) for v in level
+            if span.add(v)]
+
+
+def _pencil_blocks(a1, a2, q):
+    """The Kronecker blocks of the pencil (A1, A2): H -> T, given by their
+    integer columns on H = Q^p, with A1 H + A2 H = T of dimension q: a
+    list of (kind, size, eta, heads), heads the head vectors of
+    kronecker_block((kind, sign, size, eta)) as sparse integer dicts over
+    range(p), each block's chain scaled alike.
+
+    The pencil is shifted to (C, D) = (A1, A2 - mu A1) for the first mu =
+    0, 1, 2, ... at which D is invertible on the regular part R.  Then the
+    Wong sequence X_1 = ker D, X_(k+1) = D^-1(C X_k) ends in the head of
+    the L part, a sub-pencil (Berger, Ilchmann and Trenn, SIAM J. Matrix
+    Anal. Appl. 33, 2012).  While mu is an eigenvalue of R, the sequence
+    also takes in the part of R at mu, whose eigenvectors ker D counts and
+    ker C does not, so that mu is passed over.  The
+    decreasing sequence Z_0 = H, Z_(k+1) = C^-1(D Z_k) ends in the head of
+    L + R.  _l_chains, _lt_chains and _regular_chains read the blocks off
+    these flags.
+    """
+    p = len(a1)
+    if not p:
+        return []
+    for mu in range(p + 1):
+        d = [_lin((v, u), {0: 1, 1: -mu}) for v, u in zip(a2, a1)]
+        xs = [_basis(_solve(d)[1])]  # X_1 = ker D
+        while xs[-1]:
+            nxt = _preimage(d, [_lin(a1, x) for x in xs[-1]])
+            if len(nxt) == len(xs[-1]):
+                break
+            xs.append(nxt)
+        # the flag X_1 < X_2 < ..., in one adapted basis
+        flag = [v for _, v in _adapted(xs)]
+        dims = [len(x) for x in xs]
+        kernel = _solve([_lin(a1, x) for x in flag])[1]
+        if len(kernel) == dims[0]:
+            break
+    else:
+        raise GreenRingError(f"no shift mu <= {p} is regular for a pencil "
+                             f"with {p} head dimensions")
+    blocks = _l_chains(a1, d, flag, dims, kernel, mu)
+    # #L - #LT = p - q, one head more than radical on an L block, one less
+    # on an LT block, and as many on R
+    units = [{j: 1} for j in range(p)]
+    if dims[0] == p - q:
+        zs = [units]
+    else:
+        zs = [units, _preimage(a1, d)]
+        while len(zs[-1]) < len(zs[-2]):
+            zs.append(_preimage(a1, [_lin(d, z) for z in zs[-1]]))
+        blocks += _lt_chains(a1, d, zs, _preimage(d, a1), mu)
+    return blocks + _regular_chains(a1, a2, d, mu, flag, zs[-1])
+
+
+def _l_chains(c, d, flag, dims, kernel, mu):
+    """The L blocks, from the flag X_1 < X_2 < ... of the L head and the
+    relations among the C x for x in flag (kernel).
+
+    A start v_0 in ker C at level X_(e+1) and no lower heads a chain C v_j =
+    D v_(j-1) with v_j in X_(e+1-j), which ends in ker D = X_1 at j = e:
+    the polynomial kernel vector sum v_j s^j of C - s D, of degree e.
+    Starts adapted to the flag give independent chains; the shift back to
+    (A1, A2) substitutes s -> s - mu.
+    """
+    blocks = []
+    for rel in kernel:
+        e = next(k for k, n in enumerate(dims) if max(rel) < n)
+        chain_ = [_lin(flag, rel)]
+        for j in range(e, 0, -1):
+            sub = flag[:dims[j - 1]]
+            _extend(chain_, sub, _solve([_lin(c, x) for x in sub],
+                                        [_lin(d, chain_[-1])])[0][0])
+        heads = [_lin(chain_, {j: comb(e - j, k - j) * (-mu) ** (k - j)
+                               for j in range(k + 1)}) for k in range(e + 1)]
+        blocks.append(("L", e, None, heads))
+    return blocks
+
+
+def _lt_chains(c, d, zs, y1, mu):
+    """The LT blocks, from the flag Z_0 > Z_1 > ... > Z* = head of L + R and
+    Y_1 = D^-1(C H).
+
+    On a block LT_e with chain C u_j = D u_(j+1), Z_k meets it in u_1 ..
+    u_(e-k) and Y_1 in u_2 .. u_e; so a start u_1 of a block of size e lies
+    in Z_(e-1) but not in Z_e + Y_1.  The chain continues by u_(j+1) in
+    D^-1(C u_j), unique up to ker D, which lies in the L head.  The shift
+    back to (A1, A2) is the substitution y -> y + mu x in the monomials
+    u_j = x^(j-1) y^(e-j).
+    """
+    starts = _adapted(zs[-2::-1], start=y1 + zs[-1])
+    chains = [(len(zs) - 1 - k, [v]) for k, v in starts]
+    for step in range(1, max((e for e, _ in chains), default=0)):
+        live = [ch for e, ch in chains if e > step]
+        for ch, sol in zip(live, _solve(d, [_lin(c, ch[-1])
+                                            for ch in live])[0]):
+            _extend(ch, None, sol)
+    blocks = []
+    for e, ch in chains:
+        heads = [_lin(ch, {a + i: comb(e - 1 - a, i) * mu ** i
+                           for i in range(e - a)}) for a in range(e)]
+        blocks.append(("LT", e, None, heads))
+    return blocks
+
+
+def _apply(mat, vec):
+    """(ints, den) with mat . vec = ints / den, for an integer vector."""
+    ints, den = mat.int_form()
+    out = {}
+    for (i, j), v in ints.items():
+        w = vec.get(j)
+        if w:
+            out[i] = out.get(i, 0) + v * w
+    return {i: v for i, v in out.items() if v}, den
+
+
+def _regular_chains(a1, a2, d, mu, hl, vpp):
+    """The M blocks: Jordan chains of the regular part R.
+
+    vpp spans the head of L + R and hl the head of L.  On the quotient by
+    L, D is invertible, and Phi = D^-1 C is an n x n matrix whose
+    eigenvalue phi is the point eta = mu + 1/phi (infinity at phi = 0).
+    Chains are built on the quotient (_jordan_chains) and lifted to exact
+    chains of the pencil (_lift).
+    """
+    span = SpanRREF()
+    for v in hl:
+        span.add(v)
+    rp = [v for v in vpp if span.add(v)]
+    n = len(rp)
+    if not n:
+        return []
+    l = len(hl)
+    # column k of Phi: the coordinates on rp of D^-1 C rp[k], mod the L head
+    w = _solve(d, [_lin(a1, r) for r in rp])[0]
+    coords = _solve(hl + rp, [a for a, _ in w])[0]
+    phi = _int_columns(n, [({i - l: v for i, v in a.items() if i >= l},
+                            den * wden)
+                           for (a, den), (_, wden) in zip(coords, w)])
+    blocks = []
+    for root, kernels in _eigenspaces(phi):
+        eta, nil = _chain_map(phi, root, mu, len(kernels))
+        if eta is None:  # A1 a_1 = 0, A1 a_i = A2 a_(i-1)
+            e_cols, f_cols = a1, a2
+        else:  # (b A2 - a A1) a_i = b A1 a_(i-1) for eta = a/b
+            e_cols = [_lin((v, u), {0: eta.denominator, 1: -eta.numerator})
+                      for v, u in zip(a2, a1)]
+            f_cols = [{i: t * eta.denominator for i, t in u.items()}
+                      for u in a1]
+        for ch in _jordan_chains(nil, kernels):
+            blocks.append(("M", len(ch), eta,
+                           _lift(ch, rp, hl, e_cols, f_cols)))
+    return blocks
+
+
+def _eigenspaces(phi):
+    """(root, kernels) for each rational eigenvalue root of phi, with
+    kernels[j] a basis of ker (phi - root)^(j+1) as integer vectors, up to
+    the generalized eigenspace.
+
+    tr(phi)/n is tried first, the one eigenvalue when there is one; the
+    others are the rational roots of the minimal polynomial.  Raises
+    Unclassified when they leave part of Q^n over, at points of P^1 with
+    no rational representative.
+    """
+    n = phi.rows
+    trace = phi.trace() / n
+    kernels = _kernel_flag(phi, trace)
+    if kernels and len(kernels[-1]) == n:
+        return [(trace, kernels)]
+    minimal = minimal_polynomial(phi)
+    roots = rational_roots(minimal)
+    out = [(root, _kernel_flag(phi, root)) for root in roots]
+    covered = sum(len(kernels[-1]) for _, kernels in out)
+    if covered < n:
+        # the closed points of degree > 1 are the irrational factors of the
+        # squarefree part of the minimal polynomial
+        degree = len(squarefree_part(minimal)) - 1 - len(roots)
+        raise Unclassified(
+            f"a regular part of dimension {n} has {n - covered} dimensions "
+            "at points of P^1 with no rational representative: their "
+            f"residue field has degree {degree} over Q, summed over those "
+            "points; the labels name only modules whose residue field is Q")
+    return out
+
+
+def _kernel_flag(phi, root):
+    """Bases of ker (phi - root)^j, j = 1, 2, ..., as integer vectors, until
+    they stop growing; [] when root is no eigenvalue."""
+    n = phi.rows
+    x = phi - RatMatrix.identity(n).scale(root)
+    kernels, power = [], x
+    while not kernels or len(kernels[-1]) < n:
+        level = [vec for vec, _ in _rref_kernel(*_echelon(power.int_rows()),
+                                                range(n))]
+        if len(level) == (len(kernels[-1]) if kernels else 0):
+            break
+        kernels.append(level)
+        power = power * x
+    return kernels
+
+
+def _chain_map(phi, root, mu, index):
+    """(eta, N): the point eta of P^1 at the eigenvalue root of phi, and the
+    nilpotent N on its generalized eigenspace (of nilpotency index index)
+    with a_(i-1) = N a_i for the chains of M(n, r, eta).
+
+    At a finite eta = mu + 1/root the chain says (A2 - eta A1) a_i = A1
+    a_(i-1); with A1 = D Phi and A2 - eta A1 = -D (Phi - root)/root that is
+    N = -Phi^-1 (Phi - root)/root = sum_k (-1)^k X^k / root^(k+1), X = Phi -
+    root.  At infinity (root 0) it says A1 a_i = A2 a_(i-1), and with A2 =
+    D (1 + mu Phi), N = (1 + mu Phi)^-1 Phi = sum_j (-mu)^j Phi^(j+1).
+    """
+    n = phi.rows
+    nil, term = RatMatrix.zeros(n, n), RatMatrix.identity(n)
+    if not root:
+        for j in range(index):
+            term = term * phi
+            nil = nil + term.scale((-mu) ** j)
+        return None, nil
+    x = phi - RatMatrix.identity(n).scale(root)
+    for k in range(1, index + 1):
+        term = term * x
+        nil = nil + term.scale(Rat((-1) ** k) / root ** (k + 1))
+    return mu + 1 / root, nil
+
+
+def _lift(chain_, rp, hl, e_cols, f_cols):
+    """The quotient chain chain_ (coordinates on rp, bottom first) as an
+    exact chain E a_1 = 0, E a_i = F a_(i-1) of head vectors.
+
+    Each a_i is its lift from rp plus the vector l of the L head with E l =
+    F a_(i-1) - E (lift): the quotient relation puts the right side in the
+    L target, and E maps the L head onto it, as every combination of A1
+    and A2 does on an L block.
+    """
+    fix = [_lin(e_cols, h) for h in hl]
+    heads, scale = [], 1
+    for beta in chain_:
+        v = _lin(rp, {k: t * scale for k, t in beta.items()})
+        y = _lin((_lin(e_cols, v), _lin(f_cols, heads[-1]) if heads else {}),
+                 {0: -1, 1: 1})
+        if y:
+            a, den = _solve(fix, [y])[0][0]
+            if den != 1:
+                heads = [{i: t * den for i, t in h.items()} for h in heads]
+                scale *= den
+            v = _lin((v, _lin(hl, a)), {0: den, 1: 1})
+        heads.append(v)
+    return heads
+
+
+def _jordan_chains(nil, kernels):
+    """Jordan chains of the nilpotent part nil on the generalized
+    eigenspace kernels[-1], with kernels[j] a basis of ker X^(j+1), as
+    integer vectors: each chain bottom (an eigenvector) first, scaled
+    alike.  Tops are taken top-down, each independent of the level below
+    and of the longer chains at its level."""
+    chains = []  # each top first
+    for j in range(len(kernels), 0, -1):
+        span = SpanRREF()
+        for v in kernels[j - 2] if j > 1 else ():
+            span.add(v)
+        for ch in chains:
+            span.add(ch[len(ch) - j])
+        for v in kernels[j - 1]:
+            if span.add(v):
+                ch = [v]
+                for _ in range(j - 1):
+                    w, den = _apply(nil, ch[-1])
+                    ch = [{i: t * den for i, t in u.items()} for u in ch]
+                    ch.append(w)
+                chains.append(ch)
+    return [ch[::-1] for ch in chains]
 
 
 def _meataxe(m):

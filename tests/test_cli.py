@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,8 +83,9 @@ def test_identify_roundtrip(tmp_path, capsys):
 
 
 def test_identify_repeated_summand(tmp_path, capsys):
-    """The meataxe splits O(+1,0)^2 at an eigenvalue of a difference of two
-    End/rad basis elements: in this basis no earlier sample splits it."""
+    """O(+1,0)^2 + O(-1,1) in the basis where the End(M) meataxe had to
+    sample a difference of two End/rad basis elements to split O(+1,0)^2;
+    the Kronecker route reads both copies off one pencil."""
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(repeated_summand_module().to_json_dict()))
     assert main(["identify", str(path)]) == 0
@@ -161,18 +163,80 @@ def test_identify_module_with_no_label(tmp_path, capsys):
 
 def test_identify_summand_with_no_matching_label_is_a_failure(
         tmp_path, capsys, monkeypatch):
-    """A summand whose residue field is Q and that matches no label is a
+    """A summand whose residue field is Q and whose witness fails is a
     verification failure (exit 1), not a module that no label names."""
     import greenring.indec as indec
-    # every certificate fails, so the candidate read off V(0) + V(1)'s
-    # summands is matched by no label
-    monkeypatch.setattr(indec, "is_isomorphic", lambda m, n: (False, None))
+    from greenring.ratlin import RatMatrix
+    # every cached change from a block to its realization is singular, so
+    # the witness for V(0) + V(1) fails
+    monkeypatch.setattr(indec, "_block_change",
+                        lambda l: RatMatrix.zeros(l.dim(), l.dim()))
     path = _k2_file(tmp_path, {"K": [["1", "0"], ["0", "-1"]],
                                "x1": ZERO2, "x2": ZERO2})
     assert main(["identify", path]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "matched no classified label" in err
+    assert err.startswith("error: ") and "witness check" in err
     assert "Traceback" not in err
+
+
+def _band_file(tmp_path, coeffs):
+    """The K2 band module of the monic f = t^k + c_(k-1) t^(k-1) + ... +
+    c_0, coeffs = [c_0, ..., c_(k-1)]: x1 = I and x2 = the companion
+    matrix of f, from the K = 1 block to the K = -1 block."""
+    k = len(coeffs)
+    n = 2 * k
+    zero = [["0"] * n for _ in range(n)]
+    k_rows = [[str(int(i == j) * (1 if i < k else -1)) for j in range(n)]
+              for i in range(n)]
+    x1 = [row[:] for row in zero]
+    x2 = [row[:] for row in zero]
+    for i in range(k):
+        x1[k + i][i] = "1"
+        x2[k + i][k - 1] = str(-coeffs[i])
+        if i:
+            x2[k + i][i - 1] = "1"
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps({"algebra": "K2", "dim": n, "actions": {
+        "K": k_rows, "x1": x1, "x2": x2}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("coeffs, degree", (
+    ([-2, 0, 0, 0], 4),      # t^4 - 2
+    ([1, 0, 0, 0], 4),       # t^4 + 1
+    ([-3, 0, 0, 0, 0], 5),   # t^5 - 3
+    ([-1, 1, -1], 2),        # (t - 1)(t^2 + 1): M(1,.,1) and a band
+), ids=["t4-2", "t4+1", "t5-3", "(t-1)(t2+1)"])
+def test_identify_band_at_a_point_of_degree_above_1_is_a_usage_error(
+        tmp_path, capsys, coeffs, degree):
+    """A regular part at points of P^1 with no rational representative has
+    no label: exit 2, naming the degree left over, with no traceback."""
+    assert main(["identify", _band_file(tmp_path, coeffs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"residue field has degree {degree}" in err
+
+
+def test_committed_band_file_is_the_band_of_t4_minus_2(tmp_path):
+    """tests/data/band_t4_minus_2.json, which CI runs through the installed
+    command, is the band of t^4 - 2."""
+    data = Path(__file__).parent / "data" / "band_t4_minus_2.json"
+    made = Path(_band_file(tmp_path, [-2, 0, 0, 0]))
+    assert json.loads(data.read_text()) == json.loads(made.read_text())
+
+
+def test_identify_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert main(["identify", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_identify_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "mod.json"
+    path.write_bytes(b'{"algebra": "K2\xff\xfe"}')
+    assert main(["identify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_identify_non_diagonal_k(tmp_path, capsys):

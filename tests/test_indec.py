@@ -6,10 +6,9 @@ import sys
 import pytest
 
 from greenring.errors import (AlgebraMismatch, GreenRingError, InvalidLabel,
-                              NonSplitField, NoSolution, NotInR0, OutOfRange,
-                              Unclassified)
+                              NoSolution, NotInR0, OutOfRange, Unclassified)
 from greenring import indec, rep
-from greenring.green import STANDARD_ETAS
+from greenring.green import STANDARD_ETAS, green_mul_labels
 from greenring.hopf import build_km
 from greenring.indec import EtaPoint, IndecLabel, identify, realize, syzygy
 from greenring.ratlin import (Rat, RatMatrix, _scaled, block_diag,
@@ -333,15 +332,17 @@ def _mixed_steinberg_sums():
 
 
 def test_steinberg_copies_are_split_by_one_checked_witness(monkeypatch):
-    """identify returns the drawn labels, with no is_isomorphic call on a
-    DK1 module: the Steinberg copies are certified by the witness of
-    rep._steinberg_parities.  decompose returns the canonical St(r)."""
+    """identify returns the drawn labels, with no is_isomorphic call: the
+    Steinberg copies are certified by the witness of
+    rep._steinberg_parities, and the bc = 1 block by the Kronecker witness.
+    decompose returns the canonical St(r)."""
     calls = []
 
     def counted(a, b):
         calls.append(a.algebra.name)
         return is_isomorphic(a, b)
 
+    monkeypatch.setattr(rep, "is_isomorphic", counted)
     monkeypatch.setattr(indec, "is_isomorphic", counted)
     seen = set()
     for labels, m in _mixed_steinberg_sums():
@@ -352,7 +353,7 @@ def test_steinberg_copies_are_split_by_one_checked_witness(monkeypatch):
         assert all(s is w for s, w in zip(st, want))
         seen.update(l.kind for l in labels)
     assert {"St", "P", "M"} <= seen
-    assert set(calls) == {"K2"}
+    assert calls == []
 
 
 @pytest.mark.parametrize("gen, scale", (("d", 3), ("a", 0)))
@@ -385,12 +386,13 @@ def test_no_dk1_module_reaches_the_meataxe(texts, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("texts, systems", ((("O(+8,0)", "O(-8,1)"), 2),
+@pytest.mark.parametrize("texts, systems", ((("O(+8,0)", "O(-8,1)"), 0),
                                             (("P(0)", "O(+8,1)"), 0)))
 def test_dk1_identify_solves_the_k2_hom_systems(texts, systems, monkeypatch):
     """identify of an r0 product over DK1 solves as many hom systems as
-    over K2: the bc = 1 block takes the K2 route, and a peeled P(r) is the
-    cached realization, so its certificate needs no hom system."""
+    over K2, and that is none: the bc = 1 block takes the K2 route, whose
+    remainder is split by the Kronecker form and certified by its witness,
+    and a peeled P(r) is labelled by the peel."""
     counts = []
     hom_basis = rep.hom_basis
     monkeypatch.setattr(rep, "hom_basis",
@@ -441,13 +443,13 @@ def test_image_submodule_and_quotient_of_an_endomorphism(seed):
     assert (proj * incl).is_zero()
 
 
-def test_identify_reaches_the_idempotent_split(monkeypatch):
-    """O(-2,1) + O(-1,1) + M(2,0,5/7) in a scrambled basis: End(M)/rad is
-    Q^3, so the meataxe splits M at a rational eigenvalue of a basis
-    element of End(M)/rad, and then the 9-dimensional piece the same way;
-    the route needs no sympy."""
+def test_identify_splits_three_summands_with_no_meataxe(monkeypatch):
+    """O(-2,1) + O(-1,1) + M(2,0,5/7) in a scrambled basis, where End(M)/rad
+    is Q^3: the Kronecker route splits it with no call to the meataxe or
+    its idempotent split, and needs no sympy."""
     monkeypatch.setitem(sys.modules, "sympy", None)
-    calls = {"_meataxe_idempotent": 0, "_split_idempotent": 0}
+    calls = {"_meataxe": 0, "_meataxe_idempotent": 0, "_split_idempotent": 0,
+             "hom_basis": 0}
     for name in calls:
         original = getattr(rep, name)
 
@@ -469,17 +471,17 @@ def test_identify_reaches_the_idempotent_split(monkeypatch):
     assert identify(m) == [IndecLabel.parse("O(-1,1)"),
                            IndecLabel.parse("O(-2,1)"),
                            IndecLabel.parse("M(2,0,5/7)")]
-    # _split_idempotent runs once per sampled endomorphism; on M (12 = 3 +
-    # 9) and on its 9-dimensional piece (9 = 5 + 4) the first one splits
-    assert calls == {"_meataxe_idempotent": 2, "_split_idempotent": 2}
+    assert calls == {"_meataxe": 0, "_meataxe_idempotent": 0,
+                     "_split_idempotent": 0, "hom_basis": 0}
 
 
 def repeated_summand_module():
-    """O(+1,0) + O(+1,0) + O(-1,1) in a basis where the meataxe splits off
-    O(-1,1), and then no basis element b_i of End/rad = M_2(Q) of the
-    piece O(+1,0)^2, nor b_0 + b_1, splits it: mod rad each is a scalar or
-    has the minimal polynomial t^2 + 1, t^2 + t + 1 or t^2 + t + 4.  The
-    difference b_0 - b_1 has the eigenvalues 0 and -1."""
+    """O(+1,0) + O(+1,0) + O(-1,1) in a basis where an End(M) meataxe
+    splits off O(-1,1), and then no basis element b_i of End/rad = M_2(Q)
+    of the piece O(+1,0)^2, nor b_0 + b_1, splits it: mod rad each is a
+    scalar or has the minimal polynomial t^2 + 1, t^2 + t + 1 or t^2 + t +
+    4.  The difference b_0 - b_1 has the eigenvalues 0 and -1.  The
+    Kronecker route reads both copies of O(+1,0) off one pencil."""
     labels = [IndecLabel.parse(t) for t in ("O(+1,0)", "O(+1,0)", "O(-1,1)")]
     steps = [(2, 3, 1), (4, 0, 1), (3, 1, -1), (3, 1, 1), (6, 4, -1),
              (1, 5, -1), (4, 2, -1), (1, 2, -1), (0, 1, 1)]
@@ -533,51 +535,155 @@ def test_split_idempotent_reads_the_squarefree_part():
 
 
 def test_identify_cannot_certify_a_residue_field_of_degree_4():
-    """End = Q(2^(1/4)).  A squarefree minimal polynomial of degree 4
-    with no rational root may still factor into quadratics, so the
-    rational-root test cannot tell this field from a split End/rad."""
-    with pytest.raises(NonSplitField, match="too large"):
+    """End = Q(2^(1/4)): the regular part of the pencil has no rational
+    point, so no label names the module, and the error names the degree
+    left over."""
+    with pytest.raises(Unclassified, match="residue field has degree 4"):
         identify(_band([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0],
                         [0, 0, 1, 0]]))
 
 
-def test_candidate_read_off_every_realization():
-    """The label read off the diagonal-K form of realize(lbl) is lbl, for
-    every K2 label with s <= 8 and n <= 4, both parities and every
-    standard eta."""
+def _check_witness(m, labels, g):
+    """g is invertible and carries the sum of the realizations to M."""
+    target = direct_sum([realize(l, "K2") for l in labels])
+    assert g.rows == g.cols == m.dim == target.dim == g.rank()
+    for x, a in m.actions.items():
+        assert a * g == g * target.actions[x]
+
+
+def test_round_trip_of_every_realization_with_its_witness():
+    """realize -> scramble -> identify, for every K2 label with s <= 8 and
+    n <= 4 that has no projective part, both parities and every standard
+    eta: witness returns the label and a checked isomorphism."""
+    rng = random.Random(11)
     for lbl in _k2_labels(8, 4, STANDARD_ETAS):
-        m = rep._k_eigenbasis(realize(lbl, "K2"))
-        assert indec._k2_candidate(m) == lbl
+        if lbl.kind == "P":
+            continue
+        m = realize(lbl, "K2")
+        if m.dim > 1:
+            m = _scrambled(m, rng)
+        labels, g = indec.witness(m)
+        assert labels == [lbl]
+        _check_witness(m, labels, g)
+        assert identify(m) == [lbl]
+
+
+WITNESS_SUMS = (
+    ["O(+1,0)", "O(+1,0)", "V(1)"],
+    ["M(2,0,1)"] * 4,
+    ["M(1,0,0)", "M(2,0,inf)", "M(1,1,0)", "M(1,1,inf)"],
+    ["V(0)", "V(1)", "O(+2,0)", "O(-2,1)", "O(+1,1)"],
+    ["V(0)", "O(-1,0)", "O(-3,1)", "V(1)"],
+    ["M(3,0,1)", "M(3,0,2/3)", "O(+1,1)"],
+    ["M(3,0,-1)", "M(3,0,inf)", "V(0)", "O(+2,1)"],
+    ["O(+3,0)", "M(2,1,5/7)", "O(-2,1)", "M(1,1,5/7)"],
+)
+
+
+@pytest.mark.parametrize("seed", range(2 * len(WITNESS_SUMS)))
+def test_identify_witness_on_scrambled_sums(seed):
+    """Seeded scrambled sums with repeated summands (O(+1,0)^2,
+    M(2,0,1)^4), eta = 0 and inf together, V's next to O(+-s), and M(3,0,
+    eta) at two eta: identify's basis change g satisfies rho(x) g = g (+)
+    realize(l_i)(x) for every generator."""
+    texts = WITNESS_SUMS[seed % len(WITNESS_SUMS)]
+    rng = random.Random(seed)
+    labels = [IndecLabel.parse(t) for t in texts]
+    m = _scrambled(direct_sum([realize(l, "K2") for l in labels]), rng)
+    assert check_module(m).ok
+    got, g = indec.witness(m)
+    assert sorted(got, key=IndecLabel.sort_key) == sorted(
+        labels, key=IndecLabel.sort_key) == identify(m)
+    _check_witness(m, got, g)
+
+
+def test_no_hom_system_meataxe_or_isomorphism_test_on_the_fusion_sweep(
+        monkeypatch):
+    """identify on the 1296 distinct products of the fusion sweep, over K2
+    and over DK1, calls none of rep._meataxe, rep.hom_basis and
+    rep.is_isomorphic, and its labels are the closed form's."""
+    sweep = _k2_labels(4, 0, []) + _k2_labels(0, 4, STANDARD_ETAS[3:5])
+    pairs = list(dict.fromkeys((a, b) for a in sweep for b in sweep))
+    assert len(pairs) == 1296
+    calls = []
+    for name in ("_meataxe", "hom_basis", "is_isomorphic"):
+        original = getattr(rep, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(rep, name, spy)
+        if hasattr(indec, name):
+            monkeypatch.setattr(indec, name, spy)
+    for alg in ("K2", "DK1"):
+        for a, b in pairs:
+            got = identify(tensor(realize(a, alg), realize(b, alg)))
+            want = green_mul_labels(a, b)
+            assert got == sorted((l for l, c in want.coeffs.items()
+                                  for _ in range(c)),
+                                 key=IndecLabel.sort_key), (alg, a, b)
+    assert calls == []
+
+
+def test_a_tampered_cached_change_fails_the_witness(monkeypatch):
+    """A wrong cached change from a Kronecker block to realize(label)
+    raises GreenRingError, never a wrong label."""
+    lbl = IndecLabel.parse("O(-2,1)")
+    m = _scrambled(realize(lbl, "K2"), random.Random(4))
+    assert identify(m) == [lbl]
+    good = indec._block_change(lbl)
+    bad = good + RatMatrix(good.rows, good.cols, {(0, good.cols - 1): Rat(1)})
+    assert bad.rank() == good.rows
+    monkeypatch.setitem(indec._change_cache, lbl, bad)
+    with pytest.raises(GreenRingError, match="witness"):
+        identify(m)
+
+
+def test_a_remainder_with_x1_x2_nonzero_is_refused(monkeypatch):
+    """With the peel switched off, P(0) reaches the Kronecker route, where
+    x1 x2 acts nonzero: GreenRingError, never a wrong label."""
+    monkeypatch.setattr(rep, "_peel_projectives", lambda m: ([], m))
+    for text in ("P(0)", "P(1)"):
+        with pytest.raises(GreenRingError, match="x1 x2 acts nonzero"):
+            identify(realize(IndecLabel.parse(text), "K2"))
 
 
 @pytest.mark.parametrize("text", ("P(1)", "O(+2,1)", "O(-3,0)",
                                   "M(2,0,5/7)", "M(1,1,inf)"))
 def test_identify_indecomposable_under_basis_change(text, monkeypatch):
     """Called directly on a module whose K is not diagonal,
-    identify_indecomposable moves it to a K-eigenbasis, reads one
-    candidate and certifies it with one is_isomorphic call."""
+    identify_indecomposable moves it to a K-eigenbasis and certifies the
+    label with one witness check against its realization, with no
+    is_isomorphic call; P(1) is labelled by the peel."""
     lbl = IndecLabel.parse(text)
     m = _scrambled(realize(lbl, "K2"), random.Random(lbl.dim()))
     assert check_module(m).ok
     assert any(i != j for i, j in m.actions["K"].int_form()[0])
-    calls = []
+    compared, witnessed = [], []
 
     def counted(a, b):
-        calls.append(b)
+        compared.append(b)
         return is_isomorphic(a, b)
 
-    monkeypatch.setattr(indec, "is_isomorphic", counted)
+    def counted_witness(m, g, blocks):
+        witnessed.append(blocks)
+        return rep.check_witness(m, g, blocks)
+
+    monkeypatch.setattr(rep, "is_isomorphic", counted)
+    monkeypatch.setattr(indec, "check_witness", counted_witness)
     assert indec.identify_indecomposable(m) == lbl
-    assert calls == [realize(lbl, "K2")]
+    assert compared == []
+    assert witnessed == ([] if lbl.kind == "P" else [[realize(lbl, "K2")]])
 
 
 @pytest.mark.parametrize("texts", (["V(0)", "V(1)"], ["O(+1,0)", "V(1)"],
                                    ["O(+1,0)", "V(1)", "V(1)"]))
 def test_identify_indecomposable_rejects_a_direct_sum(texts):
-    """On a decomposable module the head and radical counts fit no label
-    (x1 = x2 = 0 in dimension 2; a head of 3 of 4 or 4 of 5 dimensions):
-    no candidate, and the same error as a failed certificate."""
-    m = direct_sum([realize(IndecLabel.parse(t), "K2") for t in texts])
-    assert indec._k2_candidate(m) is None
-    with pytest.raises(GreenRingError, match="matched no classified label"):
+    """On a direct sum identify finds every summand, so
+    identify_indecomposable refuses the module."""
+    labels = [IndecLabel.parse(t) for t in texts]
+    m = direct_sum([realize(l, "K2") for l in labels])
+    assert identify(m) == sorted(labels, key=IndecLabel.sort_key)
+    with pytest.raises(GreenRingError, match="is not indecomposable"):
         indec.identify_indecomposable(m)
