@@ -10,7 +10,8 @@ verify.  Expressions follow the grammar
 with labels in the V(r) / P(r) / O(+s,r) / O(-s,r) / M(n,r,eta) / St(r)
 syntax.  Exit codes: 0 success, 1 verification failure, 2 usage or
 parse error, malformed input file, a module that no label names, or a
-label above MAX_LABEL_DIM in a command that builds modules.
+label or an integer factor above MAX_LABEL_DIM in a command that builds
+modules.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ def parse_expr(text):
 
 
 # The one size limit: the largest label dimension eval_as_module realizes
-# for fuse, negligible and qdim.  It bounds each factor of an expression.
-# green-mul and verify have no limit, so nothing stops the oracle on a
-# sweep product.
+# for fuse, negligible and qdim.  It bounds each factor of an expression:
+# the dimension of a label, and the integer k of k*X.  green-mul and
+# verify have no limit, so nothing stops the oracle on a sweep product.
 MAX_LABEL_DIM = 64
 
 
@@ -155,6 +156,10 @@ def eval_as_module(e, algebra):
                            eval_as_module(e.parts[1], algebra)])
     if e.kind == "scale":
         k, inner = e.parts
+        if k > MAX_LABEL_DIM:
+            raise OutOfRange(f"{k}*... repeats a module {k} times; modules "
+                             f"are built only for factors of at most "
+                             f"{MAX_LABEL_DIM}")
         mod = eval_as_module(inner, algebra)
         from .hopf import get_algebra
         if k == 0:

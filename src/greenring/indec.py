@@ -2,21 +2,21 @@
 
 Labels follow the text syntax V(r), P(r), O(+s,r), O(-s,r), M(n,r,eta),
 St(r).  realize() produces one canonical matrix presentation per label;
-identify() inverts it on arbitrary modules.  Over K2 the projective
-summands are peeled off and the remainder is split into Kronecker blocks
-of the pencil (x1, x2) (rep.kronecker_route); each block is labelled by
-its shape (shape_label): an L block of size s is V(r) (s = 0) or O(+s, r),
-an LT block O(-s, r), and a regular Jordan block of size n at the point
-eta of P^1 is M(n, r, eta), with r read off the sign of K on the head.
-One witness certifies every label of a module at once: the route's basis
-change, times the cached change from each block to its realization
-(_block_change), is checked to intertwine M with the sum of the
-realizations.  Over DK1 the bc = 1 block is a K2 module, and the bc = -1
-block's Steinberg copies are certified by one checked witness.  The
-eta-parameter convention for the M-family, eta = tr(A1^-1 A2)/n for the
-head-to-radical blocks Ai of xi and infinity when A1 is singular, is
-pinned down by the calibration test in the test suite, not by any
-outside source.
+identify() inverts it on arbitrary modules.  Over K2 every label but P(r)
+is realized as its Kronecker block of the pencil (x1, x2), of shape
+label_shape(label): an L block of size s is V(r) (s = 0) or O(+s, r), an
+LT block O(-s, r), and a regular Jordan block of size n at the point eta
+of P^1 is M(n, r, eta), with r read off the sign of K on the head.
+identify peels the projective summands off and splits the remainder into
+those blocks (rep.kronecker_route), whose one checked basis change
+certifies every label at once; shape_label reads each label off its
+block.  syzygy builds Omega^k V(r) independently, by projective covers and
+injective hulls, and pins down what O(+-s, r) means.  Over DK1 the bc = 1
+block is a K2 module, and the bc = -1 block's Steinberg copies are
+certified by one checked witness.  The eta-parameter convention for the
+M-family, eta = tr(A1^-1 A2)/n for the head-to-radical blocks Ai of xi and
+infinity when A1 is singular, is pinned down by the calibration test in
+the test suite, not by any outside source.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ import re
 
 from .errors import AlgebraMismatch, GreenRingError, InvalidLabel, OutOfRange
 from .hopf import build_km
-from .ratlin import (Rat, RatMatrix, block_diag, kernel_basis, rat_from_str,
-                     rat_to_str)
+from .ratlin import Rat, kernel_basis, rat_from_str, rat_to_str
 # decompose and is_isomorphic are imported for the callers that take them
 # from here; identify calls neither
 from .rep import (_bc_blocks, _k_eigen_change, _steinberg_parities,
-                  check_witness, decompose, inflate_pi, injective_hull,
-                  inverse, is_isomorphic, kronecker_block, kronecker_route,
-                  principal_projective, projective_cover, quotient_module,
-                  steinberg_module, submodule)
+                  decompose, inflate_pi, injective_hull, is_isomorphic,
+                  kronecker_block, kronecker_route, principal_projective,
+                  projective_cover, quotient_module, steinberg_module,
+                  submodule)
 
 
 class EtaPoint:
@@ -283,25 +282,20 @@ def _realize_fresh(label, algebra):
 
 
 def _realize_k2(label):
-    """V(r) and M(n, r, eta) are their Kronecker blocks, P(r) the cached
-    principal projective, and O(+-s, r) the syzygy of V(r)."""
-    sign = 1 if label.r == 0 else -1
-    if label.kind == "V":
-        return kronecker_block(("L", sign, 0, None))
+    """P(r) is the cached principal projective, every other label its
+    Kronecker block."""
     if label.kind == "P":
         return principal_projective(build_km(2), label.r)[0]
-    if label.kind == "O+":
-        return syzygy(label.s, label.r)
-    if label.kind == "O-":
-        return syzygy(-label.s, label.r)
-    return kronecker_block(("M", sign, label.n, label.eta.value))
+    return kronecker_block(label_shape(label))
 
 
 def syzygy(k, r):
     """Omega^k V(r): iterated (co)kernels through projective covers.
 
     Positive k takes kernels of covers, negative k cokernels into
-    injective hulls.
+    injective hulls.  realize does not use it: it is the construction
+    that O(+k, r) (k > 0) and O(-|k|, r) (k < 0) name, built independently
+    of their Kronecker blocks.
     """
     if not isinstance(k, int) or k == 0:
         raise OutOfRange("syzygy index must be a nonzero integer")
@@ -325,9 +319,8 @@ def identify(m):
     """Labels of all indecomposable summands of M, sorted canonically.
 
     Over K2 the peeled P(r) are labelled by the peel, and each Kronecker
-    block of the remainder by its shape (shape_label); one witness
-    certifies the whole remainder: g * (+) c_i intertwines it with the sum
-    of the realizations, c_i the cached change of block i (_block_change).
+    block of the remainder by its shape (shape_label), after
+    kronecker_route has checked the basis change to the sum of the blocks.
     Over DK1 one label per summand of its bc blocks (rep._bc_blocks).
     """
     if m.algebra.name == "DK1":
@@ -335,8 +328,8 @@ def identify(m):
         labels = identify(k2) + [IndecLabel.steinberg(r)
                                  for r in _steinberg_parities(st)]
     elif m.algebra.name == "K2":
-        summands, rest, shapes, g = kronecker_route(m)
-        labels = _witnessed(rest, shapes, g)[0]
+        summands, shapes, _ = kronecker_route(m)
+        labels = [shape_label(s) for s in shapes]
         # the peel returns the cached principal projectives
         p0 = principal_projective(m.algebra, 0)[0]
         labels += [IndecLabel.proj(0 if s is p0 else 1) for s in summands]
@@ -352,23 +345,15 @@ def witness(m):
     M.actions[x] * g == g * (+) realize(labels[i]).actions[x] for every
     generator x, with g invertible.  identify returns the same labels,
     sorted; GreenRingError when M has a projective summand."""
-    summands, rest, shapes, g = kronecker_route(m)
+    summands, shapes, g = kronecker_route(m)
     if summands:
         raise GreenRingError("witness covers modules with no projective "
                              "summand")
-    labels, g = _witnessed(rest, shapes, g)
+    # realize(shape_label(s)) is kronecker_block(s), and with no free part
+    # the route's remainder is M in its K-eigenbasis
     change = _k_eigen_change(m)
-    return labels, g if change is None else change[1] * g
-
-
-def _witnessed(m, shapes, g):
-    """(labels, g * (+) c_i) for the Kronecker split (shapes, g) of M, with
-    c_i = _block_change(labels[i]), after the one witness check."""
-    labels = [shape_label(s) for s in shapes]
-    if labels:
-        g = g * block_diag([_block_change(l) for l in labels])
-        check_witness(m, g, [realize(l, "K2") for l in labels])
-    return labels, g
+    return ([shape_label(s) for s in shapes],
+            g if change is None else change[1] * g)
 
 
 def identify_indecomposable(m):
@@ -403,27 +388,19 @@ def shape_label(shape):
     return IndecLabel.syz_pos(size, r) if size else IndecLabel.simple(r)
 
 
-_change_cache = {}
-
-
-def _block_change(label):
-    """c with realize(label) * h = h * B and c = h^-1, B the Kronecker
-    block of the label: g * c carries realize(label) to a summand whose
-    block is B.  realize builds V(r) and M(n, r, eta) as their blocks, so
-    c is the identity there; for O(+-s, r), in the syzygy basis, c is made
-    on first use by the same route on realize(label).  A wrong route or a
-    wrong cached change fails the witness of identify.
-    """
-    c = _change_cache.get(label)
-    if c is None and label.kind in ("V", "M"):
-        c = _change_cache[label] = RatMatrix.identity(label.dim())
-    elif c is None:
-        m = realize(label, "K2")
-        change = _k_eigen_change(m)
-        shapes, g = kronecker_route(m)[2:]
-        if [shape_label(s) for s in shapes] != [label]:
-            raise GreenRingError(f"the Kronecker route does not read "
-                                 f"{label} off its realization")
-        h = g if change is None else change[1] * g
-        c = _change_cache[label] = inverse(h)
-    return c
+def label_shape(label):
+    """The Kronecker block shape of a V, O(+-s) or M label, the inverse of
+    shape_label: realize(label, "K2") is kronecker_block(label_shape(label)).
+    V(r) and O(+s, r) are ("L", (-1)^(r+s), s, None), with s = 0 for V;
+    O(-s, r) is ("LT", -(-1)^(r+s), s, None); M(n, r, eta) is ("M",
+    (-1)^r, n, eta)."""
+    if label.kind in ("P", "St"):
+        raise InvalidLabel(f"{label} is not a Kronecker block")
+    sign = -1 if label.r else 1
+    if label.kind == "M":
+        return ("M", sign, label.n, label.eta.value)
+    s = label.s or 0
+    trace = -sign if s % 2 else sign
+    if label.kind == "O-":
+        return ("LT", -trace, s, None)
+    return ("L", trace, s, None)

@@ -24,8 +24,10 @@ the head (the separated-quiver functor), and kronecker_route splits each
 into its Kronecker blocks (Gantmacher, The Theory of Matrices II, Ch.
 XII) by Wong sequences of subspaces: L blocks (V and O(+s)), LT blocks
 (O(-s)) and Jordan blocks at the rational points of P^1 (M(n, r, eta)).
-Its basis change is checked by matrix equality (check_witness); no
-End(M), hom system or isomorphism test is solved.  Over the other
+These blocks (kronecker_block) are the realizations of the labels.  The
+route returns its basis change only after checking it by matrix
+equality (check_witness), so decompose and identify read one checked
+split; no End(M), hom system or isomorphism test is solved.  Over the other
 K-type algebras the remainder goes to the endomorphism-algebra meataxe:
 the trace-form radical of End(M) certifies indecomposable modules
 (End(M) local), and every other module is split by the Fitting split of
@@ -729,10 +731,8 @@ def decompose(m):
         return ([inflate_pi(s) for s in decompose(k2)]
                 + [steinberg_module(r) for r in _steinberg_parities(st)])
     if m.algebra.name == "K2":
-        summands, rest, shapes, g = kronecker_route(m)
-        blocks = [kronecker_block(s) for s in shapes]
-        check_witness(rest, g, blocks)
-        return summands + blocks
+        summands, shapes, _ = kronecker_route(m)
+        return summands + [kronecker_block(s) for s in shapes]
     if m.algebra.name.startswith("K"):
         m = _k_eigenbasis(m)
         summands, rest = _peel_projectives(m)
@@ -746,15 +746,18 @@ def decompose(m):
 
 
 def kronecker_route(m):
-    """A K2 module split as (projectives, rest, shapes, g).
+    """A K2 module split as (projectives, shapes, g), checked.
 
     M is moved to a K-eigenbasis, its free part is peeled off
     (_peel_projectives), and the remainder rest is split by
-    _kronecker_split: rest.actions[x] * g == g * (+) kronecker_block(s)
-    for the s in shapes.  The caller checks that witness (check_witness).
+    _kronecker_split; the split is returned only after check_witness has
+    found rest.actions[x] * g == g * (+) kronecker_block(s) for the s in
+    shapes.  With no free part, rest is M in its K-eigenbasis.
     """
     summands, rest = _peel_projectives(_k_eigenbasis(m))
-    return (summands, rest) + _kronecker_split(rest)
+    shapes, g = _kronecker_split(rest)
+    check_witness(rest, g, [kronecker_block(s) for s in shapes])
+    return summands, shapes, g
 
 
 def check_witness(m, g, blocks):
@@ -769,21 +772,6 @@ def check_witness(m, g, blocks):
                              "fails its witness check")
 
 
-def inverse(g):
-    """g^-1 for a square RatMatrix g, from one _echelon call; raises
-    GreenRingError when g is singular."""
-    if g.rows != g.cols:
-        raise GreenRingError("the matrix is not invertible")
-    # g = ints / den, so g^-1 = den ints^-1
-    den = g.int_form()[1]
-    sols, kernel = _solve(g.transpose().int_rows(),
-                          [{i: 1} for i in range(g.rows)])
-    if kernel:
-        raise GreenRingError("the matrix is not invertible")
-    return _int_columns(g.cols, [({j: v * den for j, v in a.items()}, sden)
-                                 for a, sden in sols])
-
-
 def kronecker_block(shape):
     """The canonical K2 module of a Kronecker block (kind, sign, size, eta):
     the head vectors first, on which K is sign, then the radical vectors.
@@ -795,7 +783,9 @@ def kronecker_block(shape):
     - ("M", sign, n, eta): heads a_1..a_n and radical b_1..b_n; x1 a_i =
       b_i and x2 a_i = eta b_i + b_(i-1) for a rational eta, x2 a_i = b_i
       and x1 a_i = b_(i-1) for eta None, the point at infinity; M(n, r,
-      eta), the realization of indec.realize.
+      eta).
+
+    indec.realize builds every label but P(r) this way.
     """
     kind, sign, size, eta = shape
     heads = size + 1 if kind == "L" else size

@@ -61,6 +61,20 @@ def test_fuse_refuses_a_label_above_the_size_limit(capsys):
     assert capsys.readouterr().out.strip() == "O(+40,0)"
 
 
+def test_a_scale_factor_above_the_size_limit_is_a_usage_error(capsys):
+    """k*X with k above MAX_LABEL_DIM is refused before any module is
+    built, so a huge k ends in exit 2, not in a MemoryError."""
+    for cmd, expr in (("fuse", "99999999999999999*V(0)"),
+                      ("negligible", "99999999999999999*V(0)"),
+                      ("qdim", "65*V(0)")):
+        assert main([cmd, expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"at most {MAX_LABEL_DIM}" in err
+    assert main(["fuse", "64*V(0)"]) == 0
+    assert "64*V(0)" in capsys.readouterr().out
+
+
 def test_fuse_json(capsys):
     assert main(["--algebra", "DK1", "--json", "fuse", "St(0) * St(0)"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -165,12 +179,17 @@ def test_identify_summand_with_no_matching_label_is_a_failure(
         tmp_path, capsys, monkeypatch):
     """A summand whose residue field is Q and whose witness fails is a
     verification failure (exit 1), not a module that no label names."""
-    import greenring.indec as indec
+    import greenring.rep as rep
     from greenring.ratlin import RatMatrix
-    # every cached change from a block to its realization is singular, so
-    # the witness for V(0) + V(1) fails
-    monkeypatch.setattr(indec, "_block_change",
-                        lambda l: RatMatrix.zeros(l.dim(), l.dim()))
+    split = rep._kronecker_split
+
+    def singular(m):
+        # the split's basis change with its first column zeroed: on
+        # V(0) + V(1) it still intertwines, but it is singular
+        shapes, g = split(m)
+        return shapes, g * RatMatrix.diagonal([0] + [1] * (g.cols - 1))
+
+    monkeypatch.setattr(rep, "_kronecker_split", singular)
     path = _k2_file(tmp_path, {"K": [["1", "0"], ["0", "-1"]],
                                "x1": ZERO2, "x2": ZERO2})
     assert main(["identify", path]) == 1
@@ -223,6 +242,21 @@ def test_committed_band_file_is_the_band_of_t4_minus_2(tmp_path):
     data = Path(__file__).parent / "data" / "band_t4_minus_2.json"
     made = Path(_band_file(tmp_path, [-2, 0, 0, 0]))
     assert json.loads(data.read_text()) == json.loads(made.read_text())
+
+
+def test_committed_syzygy_file_is_omega_minus_3_of_v1(capsys):
+    """tests/data/omega_minus3_r1.json, which CI runs through the installed
+    command, is syzygy(-3, 1) in its own basis, not in its Kronecker
+    block's, and identify names it O(-3,1)."""
+    from greenring.indec import label_shape, syzygy
+    from greenring.rep import kronecker_block
+    data = Path(__file__).parent / "data" / "omega_minus3_r1.json"
+    m = syzygy(-3, 1)
+    assert json.loads(data.read_text()) == m.to_json_dict()
+    block = kronecker_block(label_shape(IndecLabel.parse("O(-3,1)")))
+    assert m.actions != block.actions
+    assert main(["identify", str(data)]) == 0
+    assert capsys.readouterr().out.strip() == "O(-3,1)"
 
 
 def test_identify_a_directory_is_a_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import chain
 
 import pytest
 
@@ -10,14 +11,15 @@ from greenring.errors import (AlgebraMismatch, GreenRingError, InvalidLabel,
 from greenring import indec, rep
 from greenring.green import STANDARD_ETAS, green_mul_labels
 from greenring.hopf import build_km
-from greenring.indec import EtaPoint, IndecLabel, identify, realize, syzygy
+from greenring.indec import (EtaPoint, IndecLabel, identify, label_shape,
+                             realize, shape_label, syzygy)
 from greenring.ratlin import (Rat, RatMatrix, _scaled, block_diag,
                               kernel_basis, trace_form_radical)
 from greenring.rep import (ModuleRep, check_module, decompose, direct_sum,
                            dual, in_r0, inflate_pi, is_isomorphic,
-                           principal_projective, quotient_module,
-                           radical_vectors, restrict_pi, socle_vectors,
-                           tensor, trivial_module)
+                           kronecker_block, principal_projective,
+                           quotient_module, radical_vectors, restrict_pi,
+                           socle_vectors, tensor, trivial_module)
 from greenring.verify import _k2_labels
 
 
@@ -87,7 +89,9 @@ def test_realized_dual_matches_label_dual():
 
 
 def test_syzygy_matches_labels():
-    for k in (-3, -2, -1, 1, 2, 3):
+    """syzygy, built by covers and hulls, is the module that O(+-|k|, r)
+    names; its witness carries the Kronecker realization to it."""
+    for k in chain(range(-8, 0), range(1, 9)):
         for r in (0, 1):
             m = syzygy(k, r)
             if k > 0:
@@ -95,6 +99,9 @@ def test_syzygy_matches_labels():
             else:
                 want = IndecLabel.syz_neg(-k, r)
             assert identify(m) == [want]
+            labels, g = indec.witness(m)
+            assert labels == [want]
+            _check_witness(m, labels, g)
 
 
 def test_syzygy_out_of_range():
@@ -554,12 +561,17 @@ def _check_witness(m, labels, g):
 def test_round_trip_of_every_realization_with_its_witness():
     """realize -> scramble -> identify, for every K2 label with s <= 8 and
     n <= 4 that has no projective part, both parities and every standard
-    eta: witness returns the label and a checked isomorphism."""
+    eta: realize gives the label's Kronecker block, label_shape inverts
+    shape_label, and witness returns the label and a checked
+    isomorphism."""
     rng = random.Random(11)
     for lbl in _k2_labels(8, 4, STANDARD_ETAS):
         if lbl.kind == "P":
             continue
         m = realize(lbl, "K2")
+        shape = label_shape(lbl)
+        assert shape_label(shape) == lbl
+        assert m.actions == kronecker_block(shape).actions
         if m.dim > 1:
             m = _scrambled(m, rng)
         labels, g = indec.witness(m)
@@ -626,16 +638,21 @@ def test_no_hom_system_meataxe_or_isomorphism_test_on_the_fusion_sweep(
     assert calls == []
 
 
-def test_a_tampered_cached_change_fails_the_witness(monkeypatch):
-    """A wrong cached change from a Kronecker block to realize(label)
-    raises GreenRingError, never a wrong label."""
+def test_a_tampered_basis_change_fails_the_witness(monkeypatch):
+    """A basis change of the Kronecker split with one entry changed, still
+    of full rank, raises GreenRingError, never a wrong label."""
     lbl = IndecLabel.parse("O(-2,1)")
     m = _scrambled(realize(lbl, "K2"), random.Random(4))
     assert identify(m) == [lbl]
-    good = indec._block_change(lbl)
-    bad = good + RatMatrix(good.rows, good.cols, {(0, good.cols - 1): Rat(1)})
-    assert bad.rank() == good.rows
-    monkeypatch.setitem(indec._change_cache, lbl, bad)
+    split = rep._kronecker_split
+
+    def tampered(rest):
+        shapes, g = split(rest)
+        bad = g + RatMatrix(g.rows, g.cols, {(0, g.cols - 1): Rat(1)})
+        assert bad.rank() == g.rows
+        return shapes, bad
+
+    monkeypatch.setattr(rep, "_kronecker_split", tampered)
     with pytest.raises(GreenRingError, match="witness"):
         identify(m)
 
@@ -654,8 +671,9 @@ def test_a_remainder_with_x1_x2_nonzero_is_refused(monkeypatch):
 def test_identify_indecomposable_under_basis_change(text, monkeypatch):
     """Called directly on a module whose K is not diagonal,
     identify_indecomposable moves it to a K-eigenbasis and certifies the
-    label with one witness check against its realization, with no
-    is_isomorphic call; P(1) is labelled by the peel."""
+    label with one witness check, in kronecker_route, against its
+    realization, with no is_isomorphic call; P(1) is labelled by the peel,
+    and its check is on an empty remainder."""
     lbl = IndecLabel.parse(text)
     m = _scrambled(realize(lbl, "K2"), random.Random(lbl.dim()))
     assert check_module(m).ok
@@ -667,14 +685,17 @@ def test_identify_indecomposable_under_basis_change(text, monkeypatch):
         return is_isomorphic(a, b)
 
     def counted_witness(m, g, blocks):
-        witnessed.append(blocks)
-        return rep.check_witness(m, g, blocks)
+        witnessed.append([b.actions for b in blocks])
+        return check_witness(m, g, blocks)
 
+    check_witness = rep.check_witness
     monkeypatch.setattr(rep, "is_isomorphic", counted)
-    monkeypatch.setattr(indec, "check_witness", counted_witness)
+    monkeypatch.setattr(rep, "check_witness", counted_witness)
     assert indec.identify_indecomposable(m) == lbl
     assert compared == []
-    assert witnessed == ([] if lbl.kind == "P" else [[realize(lbl, "K2")]])
+    # the free part of P(1) leaves an empty remainder to check
+    assert witnessed == [[] if lbl.kind == "P"
+                         else [realize(lbl, "K2").actions]]
 
 
 @pytest.mark.parametrize("texts", (["V(0)", "V(1)"], ["O(+1,0)", "V(1)"],
