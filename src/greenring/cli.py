@@ -315,15 +315,19 @@ def _positive_int(text):
 
 
 def _eta_list(text):
-    """Comma-separated eta values; the suites sample the first five, so
-    at least five must be distinct."""
+    """Comma-separated eta values, at least five and all distinct: the
+    suites sample the first five, and a repeat among them would make
+    sampled labels equal."""
     try:
         etas = tuple(EtaPoint.parse(t) for t in text.split(","))
     except InvalidLabel as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if len(set(etas)) < 5:
+    if len(set(etas)) < len(etas):
+        repeated = next(e for k, e in enumerate(etas) if e in etas[:k])
+        raise argparse.ArgumentTypeError(f"eta value {repeated} is repeated")
+    if len(etas) < 5:
         raise argparse.ArgumentTypeError(
-            f"need at least 5 distinct eta values, got {len(set(etas))}")
+            f"need at least 5 eta values, got {len(etas)}")
     return etas
 
 
@@ -377,7 +381,7 @@ def build_parser():
     p.add_argument("--max-s", type=_positive_int, default=4)
     p.add_argument("--max-n", type=_positive_int, default=4)
     p.add_argument("--etas", type=_eta_list,
-                   help="comma-separated eta values, at least 5 distinct")
+                   help="comma-separated eta values, at least 5, all distinct")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -380,8 +380,8 @@ def trace_form_radical(mats):
 # Every span is one _echelon call on sparse vectors: rep.submodule and
 # rep.quotient_module read a subspace's reduced basis off the pivot rows,
 # and span_coordinates reads coordinates in it off the pivot entries.
-# SpanRREF is the one incremental route left, for the two callers that
-# stop at the first dependent vector (see its docstring).
+# SpanRREF is the one incremental route left, for the callers that add
+# vectors one at a time and keep or stop on each (see its docstring).
 
 
 _INT = {int}
@@ -610,12 +610,14 @@ def solve_linear(a, b):
 
 class SpanRREF:
     """Incrementally maintained echelon form of a growing set of sparse
-    vectors, for the two callers that add vectors one at a time and stop
-    at the first dependent one or at full rank: the Krylov pass of
-    minimal_polynomial and the generators-generate check of
-    hopf.check_hopf_axioms.  Every other span is one _echelon call.  The
-    class stays a class because perfbench's tracer times SpanRREF.add.
-    The basis is kept fraction-free, as primitive integer rows.
+    vectors, for the callers that add vectors one at a time and keep or
+    stop on each: the Krylov pass of minimal_polynomial, the
+    generators-generate check of hopf.check_hopf_axioms, and the Kronecker
+    route's choice of vectors independent of a span (rep._adapted, the
+    regular head in rep._regular_chains and the chain tops in
+    rep._band_chains).  Every other span is one _echelon call.  The class
+    stays a class because perfbench's tracer times SpanRREF.add.  The
+    basis is kept fraction-free, as primitive integer rows.
     """
 
     def __init__(self):

@@ -23,16 +23,18 @@ pencils (x1, x2) from the head to the radical, one for each sign of K on
 the head (the separated-quiver functor), and kronecker_route splits each
 into its Kronecker blocks (Gantmacher, The Theory of Matrices II, Ch.
 XII) by Wong sequences of subspaces: L blocks (V and O(+s)), LT blocks
-(O(-s)) and Jordan blocks at the rational points of P^1 (M(n, r, eta)).
-These blocks (kronecker_block) are the realizations of the labels.  The
-route returns its basis change only after checking it by matrix
-equality (check_witness), so decompose and identify read one checked
-split; no End(M), hom system or isomorphism test is solved.  Over the other
-K-type algebras the remainder goes to the endomorphism-algebra meataxe:
-the trace-form radical of End(M) certifies indecomposable modules
-(End(M) local), and every other module is split by the Fitting split of
-theta - lambda, for theta in a sample drawn from a basis of End(M)/rad
-and lambda a rational eigenvalue found by Sturm bisection.
+(O(-s)) and the blocks M(n, r, eta) at the rational points eta of P^1,
+whose chains are read off the Wong sequence at eta (one routine, _wong,
+runs every sequence).  These blocks (kronecker_block) are the
+realizations of the labels.  The route returns its basis change only
+after checking it by matrix equality (check_witness), so decompose and
+identify read one checked split; no End(M), hom system or isomorphism
+test is solved.  Over the other K-type algebras the remainder goes to
+the endomorphism-algebra meataxe: the trace-form radical of End(M)
+certifies indecomposable modules (End(M) local), and every other module
+is split by the Fitting split of theta - lambda, for theta in a sample
+drawn from a basis of End(M)/rad and lambda a rational eigenvalue found
+by Sturm bisection.
 
 Over DK1 one seam, _bc_blocks, splits M once by the central involution
 bc.  On its +1 block both group-likes act alike, so DK1 acts through K2
@@ -942,6 +944,22 @@ def _adapted(levels, start=()):
             if span.add(v)]
 
 
+def _wong(e_cols, f_cols, cap):
+    """(levels, images): the Wong sequence X_1 = ker E, X_(k+1) = E^-1(F
+    X_k) of the pencil (E, F), given by its integer columns, with levels[k]
+    a basis of X_(k+1) and images[k] its image under F.  It stops where it
+    stops growing or reaches cap dimensions."""
+    levels = [_solve(e_cols)[1]]
+    images = [[_lin(f_cols, x) for x in levels[0]]]
+    while 0 < len(levels[-1]) < cap:
+        nxt = _preimage(e_cols, images[-1])
+        if len(nxt) == len(levels[-1]):
+            break
+        levels.append(nxt)
+        images.append([_lin(f_cols, x) for x in nxt])
+    return levels, images
+
+
 def _pencil_blocks(a1, a2, q):
     """The Kronecker blocks of the pencil (A1, A2): H -> T, given by their
     integer columns on H = Q^p, with A1 H + A2 H = T of dimension q: a
@@ -951,9 +969,9 @@ def _pencil_blocks(a1, a2, q):
 
     The pencil is shifted to (C, D) = (A1, A2 - mu A1) for the first mu =
     0, 1, 2, ... at which D is invertible on the regular part R.  Then the
-    Wong sequence X_1 = ker D, X_(k+1) = D^-1(C X_k) ends in the head of
-    the L part, a sub-pencil (Berger, Ilchmann and Trenn, SIAM J. Matrix
-    Anal. Appl. 33, 2012).  While mu is an eigenvalue of R, the sequence
+    Wong sequence X_1 = ker D, X_(k+1) = D^-1(C X_k) (_wong) ends in the
+    head of the L part, a sub-pencil (Berger, Ilchmann and Trenn, SIAM J.
+    Matrix Anal. Appl. 33, 2012).  While mu is a point of R, the sequence
     also takes in the part of R at mu, whose eigenvectors ker D counts and
     ker C does not, so that mu is passed over.  The
     decreasing sequence Z_0 = H, Z_(k+1) = C^-1(D Z_k) ends in the head of
@@ -965,12 +983,7 @@ def _pencil_blocks(a1, a2, q):
         return []
     for mu in range(p + 1):
         d = [_lin((v, u), {0: 1, 1: -mu}) for v, u in zip(a2, a1)]
-        xs = [_basis(_solve(d)[1])]  # X_1 = ker D
-        while xs[-1]:
-            nxt = _preimage(d, [_lin(a1, x) for x in xs[-1]])
-            if len(nxt) == len(xs[-1]):
-                break
-            xs.append(nxt)
+        xs = _wong(d, a1, p)[0]
         # the flag X_1 < X_2 < ..., in one adapted basis
         flag = [v for _, v in _adapted(xs)]
         dims = [len(x) for x in xs]
@@ -1044,25 +1057,17 @@ def _lt_chains(c, d, zs, y1, mu):
     return blocks
 
 
-def _apply(mat, vec):
-    """(ints, den) with mat . vec = ints / den, for an integer vector."""
-    ints, den = mat.int_form()
-    out = {}
-    for (i, j), v in ints.items():
-        w = vec.get(j)
-        if w:
-            out[i] = out.get(i, 0) + v * w
-    return {i: v for i, v in out.items() if v}, den
-
-
 def _regular_chains(a1, a2, d, mu, hl, vpp):
-    """The M blocks: Jordan chains of the regular part R.
+    """The M blocks: the chains of the regular part R at each of its points
+    eta, read off the Wong sequence at eta (_band_chains).
 
     vpp spans the head of L + R and hl the head of L.  On the quotient by
     L, D is invertible, and Phi = D^-1 C is an n x n matrix whose
     eigenvalue phi is the point eta = mu + 1/phi (infinity at phi = 0).
-    Chains are built on the quotient (_jordan_chains) and lifted to exact
-    chains of the pencil (_lift).
+    Phi only finds the points: tr(Phi)/n is tried first, the one eigenvalue
+    when there is one; the others are the rational roots of the minimal
+    polynomial.  Raises Unclassified when they leave part of R over, at
+    points of P^1 with no rational representative.
     """
     span = SpanRREF()
     for v in hl:
@@ -1078,41 +1083,21 @@ def _regular_chains(a1, a2, d, mu, hl, vpp):
     phi = _int_columns(n, [({i - l: v for i, v in a.items() if i >= l},
                             den * wden)
                            for (a, den), (_, wden) in zip(coords, w)])
-    blocks = []
-    for root, kernels in _eigenspaces(phi):
-        eta, nil = _chain_map(phi, root, mu, len(kernels))
-        if eta is None:  # A1 a_1 = 0, A1 a_i = A2 a_(i-1)
-            e_cols, f_cols = a1, a2
-        else:  # (b A2 - a A1) a_i = b A1 a_(i-1) for eta = a/b
-            e_cols = [_lin((v, u), {0: eta.denominator, 1: -eta.numerator})
-                      for v, u in zip(a2, a1)]
-            f_cols = [{i: t * eta.denominator for i, t in u.items()}
-                      for u in a1]
-        for ch in _jordan_chains(nil, kernels):
-            blocks.append(("M", len(ch), eta,
-                           _lift(ch, rp, hl, e_cols, f_cols)))
-    return blocks
-
-
-def _eigenspaces(phi):
-    """(root, kernels) for each rational eigenvalue root of phi, with
-    kernels[j] a basis of ker (phi - root)^(j+1) as integer vectors, up to
-    the generalized eigenspace.
-
-    tr(phi)/n is tried first, the one eigenvalue when there is one; the
-    others are the rational roots of the minimal polynomial.  Raises
-    Unclassified when they leave part of Q^n over, at points of P^1 with
-    no rational representative.
-    """
-    n = phi.rows
     trace = phi.trace() / n
-    kernels = _kernel_flag(phi, trace)
-    if kernels and len(kernels[-1]) == n:
-        return [(trace, kernels)]
+    blocks = []
+    if (phi - RatMatrix.identity(n).scale(trace)).rank() < n:
+        blocks = _band_chains(a1, a2, mu + 1 / trace if trace else None, hl,
+                              n)
+    covered = sum(size for _, size, _, _ in blocks)
+    if covered == n:
+        return blocks
     minimal = minimal_polynomial(phi)
     roots = rational_roots(minimal)
-    out = [(root, _kernel_flag(phi, root)) for root in roots]
-    covered = sum(len(kernels[-1]) for _, kernels in out)
+    for root in roots:
+        if root != trace:
+            blocks += _band_chains(a1, a2, mu + 1 / root if root else None,
+                                   hl, n - covered)
+            covered = sum(size for _, size, _, _ in blocks)
     if covered < n:
         # the closed points of degree > 1 are the irrational factors of the
         # squarefree part of the minimal polynomial
@@ -1122,97 +1107,43 @@ def _eigenspaces(phi):
             "at points of P^1 with no rational representative: their "
             f"residue field has degree {degree} over Q, summed over those "
             "points; the labels name only modules whose residue field is Q")
-    return out
+    return blocks
 
 
-def _kernel_flag(phi, root):
-    """Bases of ker (phi - root)^j, j = 1, 2, ..., as integer vectors, until
-    they stop growing; [] when root is no eigenvalue."""
-    n = phi.rows
-    x = phi - RatMatrix.identity(n).scale(root)
-    kernels, power = [], x
-    while not kernels or len(kernels[-1]) < n:
-        level = [vec for vec, _ in _rref_kernel(*_echelon(power.int_rows()),
-                                                range(n))]
-        if len(level) == (len(kernels[-1]) if kernels else 0):
-            break
-        kernels.append(level)
-        power = power * x
-    return kernels
+def _band_chains(a1, a2, eta, hl, size):
+    """The M blocks at the point eta, at which R has at most size
+    dimensions.
 
-
-def _chain_map(phi, root, mu, index):
-    """(eta, N): the point eta of P^1 at the eigenvalue root of phi, and the
-    nilpotent N on its generalized eigenspace (of nilpotency index index)
-    with a_(i-1) = N a_i for the chains of M(n, r, eta).
-
-    At a finite eta = mu + 1/root the chain says (A2 - eta A1) a_i = A1
-    a_(i-1); with A1 = D Phi and A2 - eta A1 = -D (Phi - root)/root that is
-    N = -Phi^-1 (Phi - root)/root = sum_k (-1)^k X^k / root^(k+1), X = Phi -
-    root.  At infinity (root 0) it says A1 a_i = A2 a_(i-1), and with A2 =
-    D (1 + mu Phi), N = (1 + mu Phi)^-1 Phi = sum_j (-mu)^j Phi^(j+1).
+    With E = A2 - eta A1 and F = A1 (E = A1 and F = A2 at infinity), a chain
+    of M(n, r, eta) is E a_1 = 0, E a_i = F a_(i-1).  The Wong sequence X_1
+    = ker E, X_(k+1) = E^-1(F X_k) ends in the L head hl plus the part of R
+    at eta, and X_k meets that part in the first k vectors of each chain.
+    So the chains are read top-down: the tops at level k are the vectors of
+    X_k independent of hl, of X_(k-1) and of the longer chains at that
+    level, and one _solve takes every live chain down a level, by an
+    a_(k-1) in X_(k-1) with F a_(k-1) = E a_k, which the sequence
+    guarantees.  a_1 lies in ker E, so every chain is exact, L-head parts
+    and all.
     """
-    n = phi.rows
-    nil, term = RatMatrix.zeros(n, n), RatMatrix.identity(n)
-    if not root:
-        for j in range(index):
-            term = term * phi
-            nil = nil + term.scale((-mu) ** j)
-        return None, nil
-    x = phi - RatMatrix.identity(n).scale(root)
-    for k in range(1, index + 1):
-        term = term * x
-        nil = nil + term.scale(Rat((-1) ** k) / root ** (k + 1))
-    return mu + 1 / root, nil
-
-
-def _lift(chain_, rp, hl, e_cols, f_cols):
-    """The quotient chain chain_ (coordinates on rp, bottom first) as an
-    exact chain E a_1 = 0, E a_i = F a_(i-1) of head vectors.
-
-    Each a_i is its lift from rp plus the vector l of the L head with E l =
-    F a_(i-1) - E (lift): the quotient relation puts the right side in the
-    L target, and E maps the L head onto it, as every combination of A1
-    and A2 does on an L block.
-    """
-    fix = [_lin(e_cols, h) for h in hl]
-    heads, scale = [], 1
-    for beta in chain_:
-        v = _lin(rp, {k: t * scale for k, t in beta.items()})
-        y = _lin((_lin(e_cols, v), _lin(f_cols, heads[-1]) if heads else {}),
-                 {0: -1, 1: 1})
-        if y:
-            a, den = _solve(fix, [y])[0][0]
-            if den != 1:
-                heads = [{i: t * den for i, t in h.items()} for h in heads]
-                scale *= den
-            v = _lin((v, _lin(hl, a)), {0: den, 1: 1})
-        heads.append(v)
-    return heads
-
-
-def _jordan_chains(nil, kernels):
-    """Jordan chains of the nilpotent part nil on the generalized
-    eigenspace kernels[-1], with kernels[j] a basis of ker X^(j+1), as
-    integer vectors: each chain bottom (an eigenvector) first, scaled
-    alike.  Tops are taken top-down, each independent of the level below
-    and of the longer chains at its level."""
+    if eta is None:
+        e_cols, f_cols = a1, a2
+    else:  # (b A2 - a A1) a_i = b A1 a_(i-1) for eta = a/b
+        e_cols = [_lin((v, u), {0: eta.denominator, 1: -eta.numerator})
+                  for v, u in zip(a2, a1)]
+        f_cols = [{i: t * eta.denominator for i, t in u.items()} for u in a1]
+    levels, images = _wong(e_cols, f_cols, len(hl) + size)
     chains = []  # each top first
-    for j in range(len(kernels), 0, -1):
+    for k in range(len(levels) - 1, -1, -1):
+        if chains:
+            for ch, sol in zip(chains, _solve(images[k], [
+                    _lin(e_cols, ch[-1]) for ch in chains])[0]):
+                _extend(ch, levels[k], sol)
         span = SpanRREF()
-        for v in kernels[j - 2] if j > 1 else ():
+        for v in chain(hl, levels[k - 1] if k else (),
+                       (ch[-1] for ch in chains)):
             span.add(v)
-        for ch in chains:
-            span.add(ch[len(ch) - j])
-        for v in kernels[j - 1]:
-            if span.add(v):
-                ch = [v]
-                for _ in range(j - 1):
-                    w, den = _apply(nil, ch[-1])
-                    ch = [{i: t * den for i, t in u.items()} for u in ch]
-                    ch.append(w)
-                chains.append(ch)
-    return [ch[::-1] for ch in chains]
+        chains += [[v] for v in levels[k] if span.add(v)]
+    return [("M", len(ch), eta, ch[::-1]) for ch in chains]
 
 
 def _meataxe(m):

@@ -378,6 +378,7 @@ def test_verify_custom_etas(capsys):
 @pytest.mark.parametrize("bad", [
     ["--etas", "0,1"],          # the suites read the first five etas
     ["--etas", "0,1,0,1,0"],    # five values, two distinct
+    ["--etas", "0,1,2,3,3,4"],  # five distinct, but etas[3] == etas[4]
     ["--etas", "0,1,-1,2/3,x"],
     ["--max-s", "0"],
     ["--max-n", "0"],

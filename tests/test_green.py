@@ -91,6 +91,21 @@ def test_closed_form_matches_oracle_on_deep_syzygy_products():
         assert green_mul_labels(a, b) == green_mul_oracle(a, b), (a, b)
 
 
+def test_closed_form_matches_oracle_on_long_band_chains():
+    """Products of bands with chains of length 8 and 16, at one point and
+    at two, the point at infinity among them: the oracle reads M chains of
+    length up to 16 off its Wong sequences and agrees with the closed
+    form."""
+    inf, minus_one = EtaPoint.infinity(), EtaPoint.finite(-1)
+    points = [(ETA, ETA), (inf, inf), (ETA, inf), (minus_one, ETA)]
+    for n in (8, 16):
+        for m in (8, 16):
+            for k, (e, f) in enumerate(points):
+                a = IndecLabel.mtype(n, 0, e)
+                b = IndecLabel.mtype(m, k % 2, f)
+                assert green_mul_labels(a, b) == green_mul_oracle(a, b), (a, b)
+
+
 def test_closed_form_matches_oracle_dk1_sample():
     sample = [IndecLabel.steinberg(0), IndecLabel.steinberg(1),
               IndecLabel.simple(1), IndecLabel.proj(0),

@@ -589,6 +589,13 @@ WITNESS_SUMS = (
     ["M(3,0,1)", "M(3,0,2/3)", "O(+1,1)"],
     ["M(3,0,-1)", "M(3,0,inf)", "V(0)", "O(+2,1)"],
     ["O(+3,0)", "M(2,1,5/7)", "O(-2,1)", "M(1,1,5/7)"],
+    # an M chain with the head sign of a deep L block: its vectors carry
+    # L-head parts
+    ["O(+4,0)", "M(4,0,2/3)", "V(0)"],
+    # tr(Phi)/n is a point, but not the only one
+    ["M(1,0,0)", "M(1,0,2)", "M(2,0,inf)"],
+    # tr(Phi)/n is no point
+    ["M(1,0,0)", "M(1,0,2)", "O(+2,0)"],
 )
 
 
