@@ -10,8 +10,8 @@ verify.  Expressions follow the grammar
 with labels in the V(r) / P(r) / O(+s,r) / O(-s,r) / M(n,r,eta) / St(r)
 syntax.  Exit codes: 0 success, 1 verification failure, 2 usage or
 parse error, malformed input file, a module that no label names, or a
-label or an integer factor above MAX_LABEL_DIM in a command that builds
-modules.
+label or a product of nested integer factors above MAX_LABEL_DIM in a
+command that builds modules.
 """
 
 from __future__ import annotations
@@ -132,13 +132,16 @@ def parse_expr(text):
 
 # The one size limit: the largest label dimension eval_as_module realizes
 # for fuse, negligible and qdim.  It bounds each factor of an expression:
-# the dimension of a label, and the integer k of k*X.  green-mul and
+# the dimension of a label, and the product of the integers k around a
+# subexpression X in k*X, the number of copies of X built.  green-mul and
 # verify have no limit, so nothing stops the oracle on a sweep product.
 MAX_LABEL_DIM = 64
 
 
-def eval_as_module(e, algebra):
-    """Evaluate an expression to a concrete module."""
+def eval_as_module(e, algebra, copies=1):
+    """Evaluate an expression to a concrete module, where copies is the
+    product of the integer factors around e (a factor 0 counts as 1: its
+    operand is still built)."""
     if e.kind == "label":
         lbl = e.parts[0]
         if lbl.dim() > MAX_LABEL_DIM:
@@ -147,20 +150,21 @@ def eval_as_module(e, algebra):
                              f"{MAX_LABEL_DIM}")
         return realize(lbl, algebra)
     if e.kind == "dual":
-        return dual(eval_as_module(e.parts[0], algebra))
+        return dual(eval_as_module(e.parts[0], algebra, copies))
     if e.kind == "tensor":
-        return tensor(eval_as_module(e.parts[0], algebra),
-                      eval_as_module(e.parts[1], algebra))
+        return tensor(eval_as_module(e.parts[0], algebra, copies),
+                      eval_as_module(e.parts[1], algebra, copies))
     if e.kind == "sum":
-        return direct_sum([eval_as_module(e.parts[0], algebra),
-                           eval_as_module(e.parts[1], algebra)])
+        return direct_sum([eval_as_module(e.parts[0], algebra, copies),
+                           eval_as_module(e.parts[1], algebra, copies)])
     if e.kind == "scale":
         k, inner = e.parts
-        if k > MAX_LABEL_DIM:
-            raise OutOfRange(f"{k}*... repeats a module {k} times; modules "
-                             f"are built only for factors of at most "
+        copies *= max(k, 1)
+        if copies > MAX_LABEL_DIM:
+            raise OutOfRange(f"{k}*... repeats a module {copies} times; "
+                             f"modules are built only for factors of at most "
                              f"{MAX_LABEL_DIM}")
-        mod = eval_as_module(inner, algebra)
+        mod = eval_as_module(inner, algebra, copies)
         from .hopf import get_algebra
         if k == 0:
             return zero_module(get_algebra(algebra))

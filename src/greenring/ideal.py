@@ -111,8 +111,8 @@ class IdealSpec:
         """Inverse of to_json_dict.  Raises InvalidIdealSpec for a value
         that is not an object, an unknown key, a "proper" that is not a
         boolean, a support that is not a list of {"eta", "bound"} objects,
-        or a bound that is not a positive integer or "inf"; a bad eta is
-        an InvalidLabel."""
+        a bound that is not a positive integer or "inf", or a point named
+        twice; a bad eta is an InvalidLabel."""
         if not isinstance(d, dict):
             raise InvalidIdealSpec("an ideal spec must be a JSON object")
         unknown = set(d) - {"proper", "default", "support"}
@@ -132,10 +132,14 @@ class IdealSpec:
             raise InvalidIdealSpec("'support' must be a list of objects "
                                    "with the keys 'eta' (a string) and "
                                    "'bound'")
-        return cls(True,
-                   {EtaPoint.parse(e["eta"]): _parse_bound(e["bound"])
-                    for e in support},
-                   _parse_bound(d.get("default", "1")))
+        bounds = {}
+        for e in support:
+            eta = EtaPoint.parse(e["eta"])
+            if eta in bounds:
+                raise InvalidIdealSpec(f"'support' names the point {eta} "
+                                       f"twice (eta {e['eta']!r})")
+            bounds[eta] = _parse_bound(e["bound"])
+        return cls(True, bounds, _parse_bound(d.get("default", "1")))
 
 
 def _valid_bound(b):

@@ -613,9 +613,9 @@ class SpanRREF:
     vectors, for the callers that add vectors one at a time and keep or
     stop on each: the Krylov pass of minimal_polynomial, the
     generators-generate check of hopf.check_hopf_axioms, and the Kronecker
-    route's choice of vectors independent of a span (rep._adapted, the
-    regular head in rep._regular_chains and the chain tops in
-    rep._band_chains).  Every other span is one _echelon call.  The class
+    route's choice of vectors independent of a span (the chain ends in
+    rep._lt_chains, the regular head in rep._regular_chains and the chain
+    tops in rep._chains).  Every other span is one _echelon call.  The class
     stays a class because perfbench's tracer times SpanRREF.add.  The
     basis is kept fraction-free, as primitive integer rows.
     """

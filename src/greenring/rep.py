@@ -22,10 +22,13 @@ Over K2 the remainder has rad^2 = 0, so it is a pair of Kronecker
 pencils (x1, x2) from the head to the radical, one for each sign of K on
 the head (the separated-quiver functor), and kronecker_route splits each
 into its Kronecker blocks (Gantmacher, The Theory of Matrices II, Ch.
-XII) by Wong sequences of subspaces: L blocks (V and O(+s)), LT blocks
-(O(-s)) and the blocks M(n, r, eta) at the rational points eta of P^1,
-whose chains are read off the Wong sequence at eta (one routine, _wong,
-runs every sequence).  These blocks (kronecker_block) are the
+XII) by Wong sequences of subspaces of the pencil itself, with no shift:
+L blocks (V and O(+s)), LT blocks (O(-s)) and the blocks M(n, r, eta) at
+the rational points eta of P^1.  The L blocks and the blocks at infinity
+are read in one pass off the Wong sequence at infinity, the LT blocks off
+its mirror flag, and the blocks at each finite point eta, an eigenvalue
+of A1^-1 A2 on the rest, off the Wong sequence at eta (one routine,
+_wong, runs every sequence).  These blocks (kronecker_block) are the
 realizations of the labels.  The route returns its basis change only
 after checking it by matrix equality (check_witness), so decompose and
 identify read one checked split; no End(M), hom system or isomorphism
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import comb, lcm
+from math import lcm
 
 from .errors import (AlgebraMismatch, GreenRingError, InvalidLabel,
                      InvalidModule, NonSplitField, NotInR0, OutOfRange,
@@ -911,13 +914,12 @@ def _solve(images, targets=()):
 
 
 def _extend(chain_, vecs, solution):
-    """Append sum a[j] vecs[j] / den to the chain of integer vectors (a / den
-    itself for vecs None), for solution = (a, den), scaling the whole chain
-    by den to stay integral."""
+    """Append sum a[j] vecs[j] / den to the chain of integer vectors, for
+    solution = (a, den), scaling the whole chain by den to stay integral."""
     a, den = solution
     if den != 1:
         chain_[:] = [{i: v * den for i, v in w.items()} for w in chain_]
-    chain_.append(a if vecs is None else _lin(vecs, a))
+    chain_.append(_lin(vecs, a))
 
 
 def _basis(vecs):
@@ -931,17 +933,6 @@ def _preimage(cols, basis):
     p = len(cols)
     kernel = _solve(list(cols) + list(basis))[1]
     return _basis([{j: c for j, c in v.items() if j < p} for v in kernel])
-
-
-def _adapted(levels, start=()):
-    """(k, v) for a basis of the span of all levels adapted to them: each v
-    of levels[k] that is independent of start, of the earlier levels and
-    of the vectors taken before it."""
-    span = SpanRREF()
-    for v in start:
-        span.add(v)
-    return [(k, v) for k, level in enumerate(levels) for v in level
-            if span.add(v)]
 
 
 def _wong(e_cols, f_cols, cap):
@@ -967,127 +958,91 @@ def _pencil_blocks(a1, a2, q):
     kronecker_block((kind, sign, size, eta)) as sparse integer dicts over
     range(p), each block's chain scaled alike.
 
-    The pencil is shifted to (C, D) = (A1, A2 - mu A1) for the first mu =
-    0, 1, 2, ... at which D is invertible on the regular part R.  Then the
-    Wong sequence X_1 = ker D, X_(k+1) = D^-1(C X_k) (_wong) ends in the
-    head of the L part, a sub-pencil (Berger, Ilchmann and Trenn, SIAM J.
-    Matrix Anal. Appl. 33, 2012).  While mu is a point of R, the sequence
-    also takes in the part of R at mu, whose eigenvectors ker D counts and
-    ker C does not, so that mu is passed over.  The
-    decreasing sequence Z_0 = H, Z_(k+1) = C^-1(D Z_k) ends in the head of
-    L + R.  _l_chains, _lt_chains and _regular_chains read the blocks off
-    these flags.
+    The pencil is read in its own frame, by Wong sequences (Berger,
+    Ilchmann and Trenn, SIAM J. Matrix Anal. Appl. 33, 2012).  The
+    sequence X_1 = ker A1, X_(k+1) = A1^-1(A2 X_k) ends in the head of the
+    L blocks and of the blocks at infinity, and one _chains pass reads
+    both.  #L - #LT = p - q, one head more than radical on an L block, one
+    less on an LT block, and as many on the rest.  The decreasing sequence
+    Z_0 = H, Z_(k+1) = A2^-1(A1 Z_k) leaves out the LT blocks and the
+    blocks at infinity and ends in Z*, the head of the L blocks and of the
+    blocks at finite points; _lt_chains and _regular_chains read the rest
+    off it.
     """
     p = len(a1)
     if not p:
         return []
-    for mu in range(p + 1):
-        d = [_lin((v, u), {0: 1, 1: -mu}) for v, u in zip(a2, a1)]
-        xs = _wong(d, a1, p)[0]
-        # the flag X_1 < X_2 < ..., in one adapted basis
-        flag = [v for _, v in _adapted(xs)]
-        dims = [len(x) for x in xs]
-        kernel = _solve([_lin(a1, x) for x in flag])[1]
-        if len(kernel) == dims[0]:
-            break
-    else:
-        raise GreenRingError(f"no shift mu <= {p} is regular for a pencil "
-                             f"with {p} head dimensions")
-    blocks = _l_chains(a1, d, flag, dims, kernel, mu)
-    # #L - #LT = p - q, one head more than radical on an L block, one less
-    # on an LT block, and as many on R
-    units = [{j: 1} for j in range(p)]
-    if dims[0] == p - q:
-        zs = [units]
-    else:
-        zs = [units, _preimage(a1, d)]
+    blocks = _chains(a1, a2, None, [], p)
+    hl = [h for *_, heads in blocks for h in heads]
+    n_lt = sum(kind == "L" for kind, *_ in blocks) - (p - q)
+    infinite = sum(size for kind, size, *_ in blocks if kind == "M")
+    zs = [[{j: 1} for j in range(p)]]
+    if n_lt or infinite:
+        zs.append(_preimage(a2, a1))
         while len(zs[-1]) < len(zs[-2]):
-            zs.append(_preimage(a1, [_lin(d, z) for z in zs[-1]]))
-        blocks += _lt_chains(a1, d, zs, _preimage(d, a1), mu)
-    return blocks + _regular_chains(a1, a2, d, mu, flag, zs[-1])
+            zs.append(_preimage(a2, [_lin(a1, z) for z in zs[-1]]))
+        if n_lt:
+            blocks += _lt_chains(a1, a2, zs, _preimage(a1, a2))
+    return blocks + _regular_chains(a1, a2, hl, zs[-1], infinite)
 
 
-def _l_chains(c, d, flag, dims, kernel, mu):
-    """The L blocks, from the flag X_1 < X_2 < ... of the L head and the
-    relations among the C x for x in flag (kernel).
+def _lt_chains(a1, a2, zs, y):
+    """The LT blocks, from the flag Z_0 > Z_1 > ... > Z* and y = A1^-1(A2 H).
 
-    A start v_0 in ker C at level X_(e+1) and no lower heads a chain C v_j =
-    D v_(j-1) with v_j in X_(e+1-j), which ends in ker D = X_1 at j = e:
-    the polynomial kernel vector sum v_j s^j of C - s D, of degree e.
-    Starts adapted to the flag give independent chains; the shift back to
-    (A1, A2) substitutes s -> s - mu.
+    On a block LT_e with chain A1 u_(j-1) = A2 u_j, Z_k meets it in
+    u_(k+1) .. u_e and y in u_1 .. u_(e-1); so an end u_e of a block of
+    size e lies in Z_(e-1) but not in Z_e + y.  The chains are read
+    top-down: at each level k one _solve takes every live chain down to a
+    u_(j-1) in Z_k with A1 u_(j-1) = A2 u_j, which exists because A2
+    Z_(k+1) lies in A1 Z_k.  Solving over all of H could pick up the bottom
+    of an M(1, r, infinity) block, whose image under A2 is outside A1 H.
     """
-    blocks = []
-    for rel in kernel:
-        e = next(k for k, n in enumerate(dims) if max(rel) < n)
-        chain_ = [_lin(flag, rel)]
-        for j in range(e, 0, -1):
-            sub = flag[:dims[j - 1]]
-            _extend(chain_, sub, _solve([_lin(c, x) for x in sub],
-                                        [_lin(d, chain_[-1])])[0][0])
-        heads = [_lin(chain_, {j: comb(e - j, k - j) * (-mu) ** (k - j)
-                               for j in range(k + 1)}) for k in range(e + 1)]
-        blocks.append(("L", e, None, heads))
-    return blocks
+    span = SpanRREF()
+    for v in y + zs[-1]:
+        span.add(v)
+    chains = []  # each end first
+    for k in range(len(zs) - 2, -1, -1):
+        if chains:
+            for ch, sol in zip(chains, _solve(
+                    [_lin(a1, z) for z in zs[k]],
+                    [_lin(a2, ch[-1]) for ch in chains])[0]):
+                _extend(ch, zs[k], sol)
+        chains += [[v] for v in zs[k] if span.add(v)]
+    return [("LT", len(ch), None, ch[::-1]) for ch in chains]
 
 
-def _lt_chains(c, d, zs, y1, mu):
-    """The LT blocks, from the flag Z_0 > Z_1 > ... > Z* = head of L + R and
-    Y_1 = D^-1(C H).
+def _regular_chains(a1, a2, hl, z, infinite):
+    """The M blocks at the finite points eta, read off the Wong sequence at
+    eta (_chains).
 
-    On a block LT_e with chain C u_j = D u_(j+1), Z_k meets it in u_1 ..
-    u_(e-k) and Y_1 in u_2 .. u_e; so a start u_1 of a block of size e lies
-    in Z_(e-1) but not in Z_e + Y_1.  The chain continues by u_(j+1) in
-    D^-1(C u_j), unique up to ker D, which lies in the L head.  The shift
-    back to (A1, A2) is the substitution y -> y + mu x in the monomials
-    u_j = x^(j-1) y^(e-j).
-    """
-    starts = _adapted(zs[-2::-1], start=y1 + zs[-1])
-    chains = [(len(zs) - 1 - k, [v]) for k, v in starts]
-    for step in range(1, max((e for e, _ in chains), default=0)):
-        live = [ch for e, ch in chains if e > step]
-        for ch, sol in zip(live, _solve(d, [_lin(c, ch[-1])
-                                            for ch in live])[0]):
-            _extend(ch, None, sol)
-    blocks = []
-    for e, ch in chains:
-        heads = [_lin(ch, {a + i: comb(e - 1 - a, i) * mu ** i
-                           for i in range(e - a)}) for a in range(e)]
-        blocks.append(("LT", e, None, heads))
-    return blocks
-
-
-def _regular_chains(a1, a2, d, mu, hl, vpp):
-    """The M blocks: the chains of the regular part R at each of its points
-    eta, read off the Wong sequence at eta (_band_chains).
-
-    vpp spans the head of L + R and hl the head of L.  On the quotient by
-    L, D is invertible, and Phi = D^-1 C is an n x n matrix whose
-    eigenvalue phi is the point eta = mu + 1/phi (infinity at phi = 0).
-    Phi only finds the points: tr(Phi)/n is tried first, the one eigenvalue
-    when there is one; the others are the rational roots of the minimal
-    polynomial.  Raises Unclassified when they leave part of R over, at
-    points of P^1 with no rational representative.
+    hl spans the head of the L blocks and of the blocks at infinity, and z
+    the head of the L blocks and of the regular part R at finite points;
+    the blocks at infinity have `infinite` head dimensions, which the
+    Unclassified error counts in the regular part.  On R, modulo the L
+    head, A1 is invertible, and Phi = A1^-1 A2 is an n x n matrix whose
+    eigenvalues are the points eta.  Phi only finds the points: tr(Phi)/n
+    is tried first, the one eigenvalue when there is one; the others are
+    the rational roots of the minimal polynomial.  Raises Unclassified when
+    they leave part of R over, at points of P^1 with no rational
+    representative.
     """
     span = SpanRREF()
     for v in hl:
         span.add(v)
-    rp = [v for v in vpp if span.add(v)]
+    rp = [v for v in z if span.add(v)]
     n = len(rp)
     if not n:
         return []
     l = len(hl)
-    # column k of Phi: the coordinates on rp of D^-1 C rp[k], mod the L head
-    w = _solve(d, [_lin(a1, r) for r in rp])[0]
-    coords = _solve(hl + rp, [a for a, _ in w])[0]
-    phi = _int_columns(n, [({i - l: v for i, v in a.items() if i >= l},
-                            den * wden)
-                           for (a, den), (_, wden) in zip(coords, w)])
+    # column k of Phi: the coordinates on rp of A1^-1 A2 rp[k], mod hl
+    coords = _solve([_lin(a1, v) for v in hl + rp],
+                    [_lin(a2, r) for r in rp])[0]
+    phi = _int_columns(n, [({i - l: v for i, v in a.items() if i >= l}, den)
+                           for a, den in coords])
     trace = phi.trace() / n
     blocks = []
     if (phi - RatMatrix.identity(n).scale(trace)).rank() < n:
-        blocks = _band_chains(a1, a2, mu + 1 / trace if trace else None, hl,
-                              n)
+        blocks = _chains(a1, a2, trace, hl, n)
     covered = sum(size for _, size, _, _ in blocks)
     if covered == n:
         return blocks
@@ -1095,35 +1050,39 @@ def _regular_chains(a1, a2, d, mu, hl, vpp):
     roots = rational_roots(minimal)
     for root in roots:
         if root != trace:
-            blocks += _band_chains(a1, a2, mu + 1 / root if root else None,
-                                   hl, n - covered)
+            blocks += _chains(a1, a2, root, hl, n - covered)
             covered = sum(size for _, size, _, _ in blocks)
     if covered < n:
         # the closed points of degree > 1 are the irrational factors of the
         # squarefree part of the minimal polynomial
         degree = len(squarefree_part(minimal)) - 1 - len(roots)
         raise Unclassified(
-            f"a regular part of dimension {n} has {n - covered} dimensions "
-            "at points of P^1 with no rational representative: their "
-            f"residue field has degree {degree} over Q, summed over those "
-            "points; the labels name only modules whose residue field is Q")
+            f"a regular part of dimension {n + infinite} has {n - covered} "
+            "dimensions at points of P^1 with no rational representative: "
+            f"their residue field has degree {degree} over Q, summed over "
+            "those points; the labels name only modules whose residue field "
+            "is Q")
     return blocks
 
 
-def _band_chains(a1, a2, eta, hl, size):
-    """The M blocks at the point eta, at which R has at most size
-    dimensions.
+def _chains(a1, a2, eta, hl, size):
+    """The blocks read off the Wong sequence at the point eta (None at
+    infinity), at which the regular part has at most size dimensions
+    outside the span of hl.
 
     With E = A2 - eta A1 and F = A1 (E = A1 and F = A2 at infinity), a chain
-    of M(n, r, eta) is E a_1 = 0, E a_i = F a_(i-1).  The Wong sequence X_1
-    = ker E, X_(k+1) = E^-1(F X_k) ends in the L head hl plus the part of R
-    at eta, and X_k meets that part in the first k vectors of each chain.
-    So the chains are read top-down: the tops at level k are the vectors of
-    X_k independent of hl, of X_(k-1) and of the longer chains at that
-    level, and one _solve takes every live chain down a level, by an
-    a_(k-1) in X_(k-1) with F a_(k-1) = E a_k, which the sequence
-    guarantees.  a_1 lies in ker E, so every chain is exact, L-head parts
-    and all.
+    of M(n, r, eta) is E a_1 = 0, E a_i = F a_(i-1).  At infinity an L
+    block is such a chain too, A1 v_0 = 0, A1 v_k = A2 v_(k-1), whose top
+    is also in ker A2.  The Wong sequence X_1 = ker E, X_(k+1) = E^-1(F
+    X_k) meets each of these blocks in the first k vectors of its chain,
+    and ends in them and in the L head.  So the chains are read top-down:
+    the tops at level k are the vectors of X_k independent of hl, of
+    X_(k-1) and of the longer chains at that level, and one _solve takes
+    every live chain down a level, by an a_(k-1) in X_(k-1) with F a_(k-1)
+    = E a_k, which the sequence guarantees.  At infinity the tops in ker A2
+    are taken first, and head L blocks of size len - 1; every other top
+    heads an M block.  a_1 lies in ker E, so every chain is exact, L-head
+    parts and all.
     """
     if eta is None:
         e_cols, f_cols = a1, a2
@@ -1132,18 +1091,24 @@ def _band_chains(a1, a2, eta, hl, size):
                   for v, u in zip(a2, a1)]
         f_cols = [{i: t * eta.denominator for i, t in u.items()} for u in a1]
     levels, images = _wong(e_cols, f_cols, len(hl) + size)
-    chains = []  # each top first
+    chains = []  # (kind, chain), each top first
     for k in range(len(levels) - 1, -1, -1):
-        if chains:
-            for ch, sol in zip(chains, _solve(images[k], [
-                    _lin(e_cols, ch[-1]) for ch in chains])[0]):
+        rels = ()
+        if chains or eta is None:
+            sols, rels = _solve(images[k], [_lin(e_cols, ch[-1])
+                                            for _, ch in chains])
+            for (_, ch), sol in zip(chains, sols):
                 _extend(ch, levels[k], sol)
         span = SpanRREF()
         for v in chain(hl, levels[k - 1] if k else (),
-                       (ch[-1] for ch in chains)):
+                       (ch[-1] for _, ch in chains)):
             span.add(v)
-        chains += [[v] for v in levels[k] if span.add(v)]
-    return [("M", len(ch), eta, ch[::-1]) for ch in chains]
+        if eta is None:  # the relations among images[k] give ker A2
+            chains += [("L", [v]) for v in (_lin(levels[k], r) for r in rels)
+                       if span.add(v)]
+        chains += [("M", [v]) for v in levels[k] if span.add(v)]
+    return [(kind, len(ch) - (kind == "L"), eta, ch[::-1])
+            for kind, ch in chains]
 
 
 def _meataxe(m):

@@ -62,17 +62,21 @@ def test_fuse_refuses_a_label_above_the_size_limit(capsys):
 
 
 def test_a_scale_factor_above_the_size_limit_is_a_usage_error(capsys):
-    """k*X with k above MAX_LABEL_DIM is refused before any module is
-    built, so a huge k ends in exit 2, not in a MemoryError."""
+    """k*X with k, or the product of the nested factors around X, above
+    MAX_LABEL_DIM is refused before any module is built, so a huge k ends
+    in exit 2, not in a MemoryError."""
     for cmd, expr in (("fuse", "99999999999999999*V(0)"),
                       ("negligible", "99999999999999999*V(0)"),
-                      ("qdim", "65*V(0)")):
+                      ("qdim", "65*V(0)"),
+                      ("fuse", "2*64*V(0)"),
+                      ("qdim", "8*16*V(0)")):
         assert main([cmd, expr]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"at most {MAX_LABEL_DIM}" in err
     assert main(["fuse", "64*V(0)"]) == 0
     assert "64*V(0)" in capsys.readouterr().out
+    assert main(["fuse", "8*8*V(0)"]) == 0
 
 
 def test_fuse_json(capsys):
@@ -303,9 +307,10 @@ def test_ideal_closure_and_contains(tmp_path, capsys):
     {"support": [{"eta": "0", "bound": 1.5}]},
     {"default": "x"},
     {"default": True},
+    {"support": [{"eta": "0", "bound": "5"}, {"eta": "0/3", "bound": "2"}]},
 ], ids=["non-object", "unknown-key", "proper-not-bool", "support-not-list",
         "no-bound", "no-eta", "eta-not-string", "zero-bound",
-        "float-bound", "text-default", "bool-default"])
+        "float-bound", "text-default", "bool-default", "repeated-eta"])
 def test_ideal_contains_rejects_bad_specs(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

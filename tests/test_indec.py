@@ -550,6 +550,19 @@ def test_identify_cannot_certify_a_residue_field_of_degree_4():
                         [0, 0, 1, 0]]))
 
 
+def test_unclassified_counts_the_blocks_at_infinity():
+    """The band of t^2 + 1 with M(2,0,inf) and O(-2,0), scrambled: the
+    blocks at infinity are read off before Phi, which sees only the band,
+    and the regular part the error names still counts them."""
+    labels = [IndecLabel.parse(t) for t in ("M(2,0,inf)", "O(-2,0)")]
+    m = _scrambled(direct_sum([_band([[0, -1], [1, 0]])]
+                              + [realize(l, "K2") for l in labels]),
+                   random.Random(5))
+    with pytest.raises(Unclassified, match="a regular part of dimension 4 "
+                       "has 2 dimensions .* degree 2 "):
+        identify(m)
+
+
 def _check_witness(m, labels, g):
     """g is invertible and carries the sum of the realizations to M."""
     target = direct_sum([realize(l, "K2") for l in labels])
@@ -580,6 +593,14 @@ def test_round_trip_of_every_realization_with_its_witness():
         assert identify(m) == [lbl]
 
 
+# L, LT and M blocks at infinity in one pencil: at infinity the tops that
+# x2 kills head L blocks, and each LT chain steps down inside the flag
+# Z_k, away from the bottom of M(1,0,inf)
+INFINITY_SUMS = (
+    ["V(0)", "M(1,0,inf)", "O(-3,0)", "M(1,0,0)"],
+    ["O(+2,0)", "M(3,0,inf)", "O(-1,0)"],
+)
+
 WITNESS_SUMS = (
     ["O(+1,0)", "O(+1,0)", "V(1)"],
     ["M(2,0,1)"] * 4,
@@ -592,11 +613,13 @@ WITNESS_SUMS = (
     # an M chain with the head sign of a deep L block: its vectors carry
     # L-head parts
     ["O(+4,0)", "M(4,0,2/3)", "V(0)"],
-    # tr(Phi)/n is a point, but not the only one
+    # infinity is read off before Phi, so tr(Phi)/n = 1 is no point
     ["M(1,0,0)", "M(1,0,2)", "M(2,0,inf)"],
     # tr(Phi)/n is no point
     ["M(1,0,0)", "M(1,0,2)", "O(+2,0)"],
-)
+    # tr(Phi)/n is a point, but not the only one
+    ["M(1,0,-1)", "M(1,0,0)", "M(1,0,1)"],
+) + INFINITY_SUMS
 
 
 @pytest.mark.parametrize("seed", range(2 * len(WITNESS_SUMS)))
@@ -605,7 +628,19 @@ def test_identify_witness_on_scrambled_sums(seed):
     M(2,0,1)^4), eta = 0 and inf together, V's next to O(+-s), and M(3,0,
     eta) at two eta: identify's basis change g satisfies rho(x) g = g (+)
     realize(l_i)(x) for every generator."""
-    texts = WITNESS_SUMS[seed % len(WITNESS_SUMS)]
+    _witness_round_trip(WITNESS_SUMS[seed % len(WITNESS_SUMS)], seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("texts", INFINITY_SUMS, ids=("v-lt3", "o2-lt1"))
+def test_identify_witness_on_l_lt_and_infinity(texts, seed):
+    """Six seeded scrambles of each L + LT + infinity sum: a reader at
+    infinity that does not take the tops in ker x2 first, or an LT step
+    solved over all of H, misreads some of them."""
+    _witness_round_trip(texts, seed)
+
+
+def _witness_round_trip(texts, seed):
     rng = random.Random(seed)
     labels = [IndecLabel.parse(t) for t in texts]
     m = _scrambled(direct_sum([realize(l, "K2") for l in labels]), rng)
