@@ -118,7 +118,11 @@ class _Parser:
             return inner
         m = _INT_RE.match(rest)
         if m:
-            k = int(m.group(0))
+            try:
+                k = int(m.group(0))
+            except ValueError:  # past int()'s limit on the number of digits
+                raise ExprSyntaxError(f"an integer of {m.end()} digits is "
+                                      "too long", self.pos) from None
             self.pos += m.end()
             self._expect("*")
             return Expr("scale", k, self.factor())
@@ -220,9 +224,22 @@ def cmd_fuse(args):
     return 0 if agreement else 1
 
 
+def _load_json(path, error):
+    """The JSON document in the file path.  json.load raises an integer past
+    int()'s limit on the number of digits as a ValueError that is not a
+    JSONDecodeError; that is raised as error, a usage error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:
+            raise error(f"{path} holds an integer with too many "
+                        "digits") from None
+
+
 def cmd_identify(args):
-    with open(args.file) as fh:
-        mod = ModuleRep.from_json_dict(json.load(fh))
+    mod = ModuleRep.from_json_dict(_load_json(args.file, InvalidModule))
     report = check_module(mod)
     if not report:
         raise InvalidModule(
@@ -256,8 +273,8 @@ def cmd_ideal(args):
         print("ideal contains needs SPEC.json and an expression",
               file=sys.stderr)
         return 2
-    with open(args.labels[0]) as fh:
-        spec = IdealSpec.from_json_dict(json.load(fh))
+    spec = IdealSpec.from_json_dict(_load_json(args.labels[0],
+                                               InvalidIdealSpec))
     e = parse_expr(" ".join(args.labels[1:]))
     x = eval_as_green(e, args.algebra)
     member = ideal_contains(spec, x)

@@ -154,7 +154,11 @@ def _parse_bound(value):
     """A bound from a positive integer, its decimal string, or "inf"."""
     if value == "inf":
         return inf
-    b = int(value) if type(value) is str and value.isdecimal() else value
+    try:
+        b = int(value) if type(value) is str and value.isdecimal() else value
+    except ValueError:  # past int()'s limit on the number of digits
+        raise InvalidIdealSpec(f"a bound of {len(value)} digits is too "
+                               "long") from None
     if type(b) is not int or b < 1:
         raise InvalidIdealSpec(f"a bound must be a positive integer or "
                                f"'inf', not {value!r}")

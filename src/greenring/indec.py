@@ -214,13 +214,13 @@ class IndecLabel:
         m = cls._RES["O"].match(t)
         if m:
             kind = "O+" if m.group(1) == "+" else "O-"
-            s = int(m.group(2))
+            s = _label_int(m.group(2))
             if s < 1:
                 raise InvalidLabel(f"syzygy depth must be >= 1: {text!r}")
             return cls(kind, _parity(m.group(3)), s=s)
         m = cls._RES["M"].match(t)
         if m:
-            n = int(m.group(1))
+            n = _label_int(m.group(1))
             if n < 1:
                 raise InvalidLabel(f"M-family size must be >= 1: {text!r}")
             return cls("M", _parity(m.group(2)), n=n,
@@ -246,8 +246,18 @@ class IndecLabel:
                 self.r, ek)
 
 
+def _label_int(text):
+    """int(text), for a run of digits; InvalidLabel past int()'s limit on
+    the number of digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidLabel(f"an integer of {len(text)} digits is too long "
+                           "for a label") from None
+
+
 def _parity(text):
-    r = int(text)
+    r = _label_int(text)
     if r not in (0, 1):
         raise InvalidLabel(f"parity must be 0 or 1, got {r}")
     return r

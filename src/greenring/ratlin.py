@@ -26,6 +26,7 @@ polynomial routines.
 
 from __future__ import annotations
 
+from itertools import chain, count
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -377,11 +378,12 @@ def trace_form_radical(mats):
 # Column n is a pivot exactly when v reduces to zero against the other
 # rows, i.e. when v lies in their span (in_row_space).
 #
-# Every span is one _echelon call on sparse vectors: rep.submodule and
-# rep.quotient_module read a subspace's reduced basis off the pivot rows,
-# and span_coordinates reads coordinates in it off the pivot entries.
-# SpanRREF is the one incremental route left, for the callers that add
-# vectors one at a time and keep or stop on each (see its docstring).
+# There is one forward step, _reduce, which _echelon runs once per row,
+# SpanRREF once per added vector and minimal_polynomial once per power,
+# and one solver, _solve, which solve_linear and rep's Kronecker route
+# share.  Every other span is one _echelon call: rep.submodule and
+# rep.quotient_module read a reduced basis off the pivot rows, and
+# span_coordinates reads coordinates in it off the pivot entries.
 
 
 _INT = {int}
@@ -478,6 +480,23 @@ def _forced_zeros(rows, pivots):
     return [r for r in rows if r]
 
 
+def _reduce(r, pivots):
+    """The forward step: reduce the integer row r, which it consumes,
+    against pivots (col -> primitive integer row, positive at col); if
+    anything is left, store it as the pivot row of its leftmost column and
+    return True."""
+    while r:
+        c = min(r)
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = _pivot_row(r)
+            return True
+        r, a = _eliminate(r, p, c)
+        if a != 1 and r:
+            r = _primitive(r)
+    return False
+
+
 def _echelon(rows, reduced=True):
     """Reduced row echelon form of a list of sparse integer rows, which it
     consumes (see the elimination-core comment above).
@@ -492,15 +511,7 @@ def _echelon(rows, reduced=True):
     rows = _forced_zeros(rows, pivots)
     # Process the sparsest rows first: cheap, and it keeps fill-in low.
     for r in sorted(rows, key=len):
-        while r:
-            c = min(r)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = _pivot_row(r)
-                break
-            r, a = _eliminate(r, p, c)
-            if a != 1 and r:
-                r = _primitive(r)
+        _reduce(r, pivots)
     cols = sorted(pivots)
     if not reduced:
         return cols, None
@@ -540,6 +551,33 @@ def _rref_kernel(pivot_cols, pivot_rows, cols):
             vec[c] = -w * (den // p)
         kernel.append((vec, den))
     return kernel
+
+
+def _solve(images, targets=()):
+    """(solutions, kernel) for sparse integer vectors, from one _echelon
+    call: solutions[t] = (a, den) with sum a[j] images[j] = den targets[t],
+    a 0 at the free columns; kernel a basis of the relations among the
+    images, in normal form (_rref_kernel) up to scale, so a relation r is
+    positive at its free column max(r) and meets only images[0..max(r)].
+    Raises NoSolution when a target is outside the span."""
+    k = len(images)
+    rows = {}
+    for j, vec in enumerate(chain(images, targets)):
+        f = 1 if j < k else -1
+        for i, v in vec.items():
+            rows.setdefault(i, {})[j] = f * v
+    ncols = k + len(targets)
+    pivot_cols, pivot_rows = _echelon(list(rows.values()))
+    if pivot_cols and pivot_cols[-1] >= k:
+        raise NoSolution("a vector is outside the span it is solved in")
+    solutions, kernel = [], []
+    for vec, kden in _rref_kernel(pivot_cols, pivot_rows, range(ncols)):
+        a = {j: v for j, v in vec.items() if j < k}
+        if max(vec) < k:  # its free column
+            kernel.append(a)
+        else:
+            solutions.append((a, kden))
+    return solutions, kernel
 
 
 def in_row_space(rows, vec, ncols):
@@ -585,39 +623,26 @@ def span_coordinates(incl, mat):
 
 
 def solve_linear(a, b):
-    """One exact solution x of A x = b plus a kernel basis, all sparse
-    vectors; x is 0 at the free columns.
-
-    Raises NoSolution when b is not in the image of A.
+    """One exact solution x of A x = b plus kernel_basis(A), all sparse
+    vectors; x is 0 at the free columns.  One _solve of den_b b in the
+    columns of den_a A.  Raises NoSolution when b is not in the image of A.
     """
-    rows = a.int_rows()  # den_a A
-    aug = a.cols  # column index used for the right-hand side
-    b, den_b = _scaled(b)  # den_b b
-    for i, bi in b.items():
-        rows[i][aug] = bi
-    pivot_cols, pivot_rows = _echelon(rows)
-    if aug in pivot_cols:
-        raise NoSolution("rhs not in the image")
-    # the rows solve den_a A y = den_b b, so x = (den_a / den_b) y
+    b, den_b = _scaled(b)
+    ((x, den),), kernel = _solve(a.transpose().int_rows(), [b])
     den_a = a.int_form()[1]
-    x = {c: Rat(row[aug] * den_a, row[c] * den_b)
-         for c, row in zip(pivot_cols, pivot_rows) if aug in row}
-    # aug is no pivot, so the rows without their aug entries are the
-    # reduced echelon form of A itself
-    return x, [_rats(vec, den) for vec, den
-               in _rref_kernel(pivot_cols, pivot_rows, range(a.cols))]
+    return ({j: Rat(v * den_a, den * den_b) for j, v in x.items()},
+            [_rats(r, r[max(r)]) for r in kernel])
 
 
 class SpanRREF:
-    """Incrementally maintained echelon form of a growing set of sparse
-    vectors, for the callers that add vectors one at a time and keep or
-    stop on each: the Krylov pass of minimal_polynomial, the
+    """Echelon form of a growing set of sparse vectors, for the callers
+    that add vectors one at a time and keep or stop on each: the
     generators-generate check of hopf.check_hopf_axioms, and the Kronecker
     route's choice of vectors independent of a span (the chain ends in
     rep._lt_chains, the regular head in rep._regular_chains and the chain
-    tops in rep._chains).  Every other span is one _echelon call.  The class
-    stays a class because perfbench's tracer times SpanRREF.add.  The
-    basis is kept fraction-free, as primitive integer rows.
+    tops in rep._chains).  Each add is one _reduce; callers read only
+    whether the rank grew.  The class stays a class because perfbench's
+    tracer times SpanRREF.add.
     """
 
     def __init__(self):
@@ -625,22 +650,7 @@ class SpanRREF:
 
     def add(self, vec):
         """Add the sparse vec to the span; returns True if the rank grew."""
-        r = _scaled(vec)[0]
-        for c in list(r):
-            # the pivot rows vanish at every other pivot column, so the
-            # columns met here are the ones vec started with
-            if c in r and c in self.pivots:
-                r = _eliminate(r, self.pivots[c], c)[0]
-        if not r:
-            return False
-        row = _pivot_row(r)
-        c = min(row)
-        # Keep reduced form: eliminate the new pivot from old rows.
-        for c2, r2 in self.pivots.items():
-            if c in r2:
-                self.pivots[c2] = _primitive(_eliminate(r2, row, c)[0])
-        self.pivots[c] = row
-        return True
+        return _reduce(_scaled(vec)[0], self.pivots)
 
     @property
     def rank(self):
@@ -654,28 +664,30 @@ class SpanRREF:
 
 
 def minimal_polynomial(a):
-    """Monic minimal polynomial of a square RatMatrix.
+    """Monic minimal polynomial of a square n x n RatMatrix.
 
-    A Krylov pass over the powers I, A, A^2, ...: each is added to the
-    span of the earlier ones until one is dependent.  The power columns
-    then have a one-dimensional kernel, and its normal-form vector is 1
-    at the last power: the coefficients of the first relation.
+    One Krylov pass: A^k = ints / den goes to _reduce as the row ints,
+    flattened, plus den at the tag column n^2 + k, so the tags of every
+    reduced row are the coefficients of the powers it combines.  The first
+    A^k that reduces to zero on the matrix columns leaves its pivot at a
+    tag column, and its tags are the first relation; k <= n by
+    Cayley-Hamilton.
     """
     n = a.rows
-    span = SpanRREF()
-    powers = [RatMatrix.identity(n)]
-    while span.add({i * n + j: v for (i, j), v
-                    in powers[-1].int_form()[0].items()}):
-        powers.append(powers[-1] * a)
-    # the power columns over one common denominator: the same kernel
-    den = lcm(*[p.int_form()[1] for p in powers])
-    rows = {}
-    for k, p in enumerate(powers):
-        ints, d = p.int_form()
-        for ij, v in ints.items():
-            rows.setdefault(ij, {})[k] = v * (den // d)
-    (rel,) = kernel_dicts(list(rows.values()), len(powers))
-    return [rel.get(k, ZERO) for k in range(len(powers))]
+    tags = n * n
+    pivots = {}
+    power = RatMatrix.identity(n)
+    for k in count():
+        ints, den = power.int_form()
+        row = {i * n + j: v for (i, j), v in ints.items()}
+        row[tags + k] = den
+        _reduce(row, pivots)
+        last = max(pivots)
+        if last >= tags:
+            rel = pivots[last]
+            return [Rat(rel.get(tags + j, 0), rel[tags + k])
+                    for j in range(k + 1)]
+        power = power * a
 
 
 def _poly_divmod(a, b):

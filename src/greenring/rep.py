@@ -66,7 +66,7 @@ from .errors import (AlgebraMismatch, GreenRingError, InvalidLabel,
                      Unclassified)
 from .hopf import build_dk1, build_km, get_algebra, jacobson_radical
 from .ratlin import (ONE, ZERO, Rat, RatMatrix, _echelon, _int_columns,
-                     _normalized, _rref_kernel, _scaled, block_diag,
+                     _normalized, _rref_kernel, _scaled, _solve, block_diag,
                      SpanRREF, kernel_dicts, minimal_polynomial,
                      rat_from_str, rat_to_str, rational_roots,
                      span_coordinates, squarefree_part, trace_form_radical)
@@ -591,19 +591,23 @@ def _k_eigenbasis(m):
     0 at the other free columns of its kernel.  So the coordinate of x
     along it is entry f of the eigencomponent (x +- Kx)/2, and the rows of
     P^-1 are rows of (I + K)/2 and (I - K)/2: no elimination is needed.
-    Both P and P^-1 are built from integer rows.
+    Both P and P^-1 are built from integer rows.  K, an involution
+    (_k_eigen_split), becomes diag(+1 on P's plus columns, -1 on the rest).
     """
     change = _k_eigen_change(m)
     if change is None:
         return m
-    p_inv, p = change
-    return ModuleRep(m.algebra, m.dim, {lbl: p_inv * a * p
-                                        for lbl, a in m.actions.items()})
+    p_inv, p, n_plus = change
+    k_diag = RatMatrix.diagonal([1] * n_plus + [-1] * (m.dim - n_plus))
+    return ModuleRep(m.algebra, m.dim, {
+        lbl: k_diag if lbl == "K" else p_inv * a * p
+        for lbl, a in m.actions.items()})
 
 
 def _k_eigen_change(m):
-    """(P^-1, P) for the basis change P of _k_eigenbasis; None when K is
-    already diagonal."""
+    """(P^-1, P, n) for the basis change P of _k_eigenbasis, whose first n
+    columns span the +1 eigenspace of K; None when K is already
+    diagonal."""
     k_act = m.actions["K"]
     if all(i == j for i, j in k_act.int_form()[0]):
         return None
@@ -617,7 +621,7 @@ def _k_eigen_change(m):
                  for vec, _ in vecs]
     p_inv = _normalized(m.dim, m.dim, {(i, j): v for i, row in enumerate(rows)
                                        for j, v in row.items()}, den)
-    return p_inv, _int_columns(m.dim, plus + minus)
+    return p_inv, _int_columns(m.dim, plus + minus), len(plus)
 
 
 def projective_cover(m):
@@ -883,36 +887,6 @@ def _lin(vecs, coeffs):
     return {i: w for i, w in out.items() if w}
 
 
-def _solve(images, targets=()):
-    """(solutions, kernel) for sparse integer vectors, from one _echelon
-    call: solutions[t] = (a, den) with sum a[j] images[j] = den targets[t],
-    a 0 at the free columns; kernel a basis of the relations among the
-    images, in normal form (_rref_kernel) up to scale, so a relation whose
-    free column is f meets only images[0..f].  Raises GreenRingError when a
-    target is outside the span."""
-    k = len(images)
-    rows = {}
-    for j, vec in enumerate(chain(images, targets)):
-        f = 1 if j < k else -1
-        for i, v in vec.items():
-            rows.setdefault(i, {})[j] = f * v
-    ncols = k + len(targets)
-    pivot_cols, pivot_rows = _echelon(list(rows.values()))
-    if pivot_cols and pivot_cols[-1] >= k:
-        raise GreenRingError("a vector is outside the span it is solved in")
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    solutions, kernel = [], []
-    for f, (vec, kden) in zip(free, _rref_kernel(pivot_cols, pivot_rows,
-                                                 range(ncols))):
-        a = {j: v for j, v in vec.items() if j < k}
-        if f < k:
-            kernel.append(a)
-        else:
-            solutions.append((a, kden))
-    return solutions, kernel
-
-
 def _extend(chain_, vecs, solution):
     """Append sum a[j] vecs[j] / den to the chain of integer vectors, for
     solution = (a, den), scaling the whole chain by den to stay integral."""
@@ -922,17 +896,13 @@ def _extend(chain_, vecs, solution):
     chain_.append(_lin(vecs, a))
 
 
-def _basis(vecs):
-    """A basis of the span of the sparse integer vectors: their reduced
-    echelon basis, as primitive integer vectors."""
-    return _echelon([dict(v) for v in vecs if v])[1]
-
-
 def _preimage(cols, basis):
-    """A basis of {v : A v in span(basis)}, A the map with columns cols."""
+    """A basis of {v : A v in span(basis)}, A the map with columns cols: its
+    reduced echelon basis, as primitive integer vectors."""
     p = len(cols)
     kernel = _solve(list(cols) + list(basis))[1]
-    return _basis([{j: c for j, c in v.items() if j < p} for v in kernel])
+    return _echelon([{j: c for j, c in v.items() if j < p}
+                     for v in kernel])[1]
 
 
 def _wong(e_cols, f_cols, cap):
@@ -967,13 +937,14 @@ def _pencil_blocks(a1, a2, q):
     Z_0 = H, Z_(k+1) = A2^-1(A1 Z_k) leaves out the LT blocks and the
     blocks at infinity and ends in Z*, the head of the L blocks and of the
     blocks at finite points; _lt_chains and _regular_chains read the rest
-    off it.
+    off it.  Of the heads read at infinity only those of the L blocks, hl,
+    lie in Z* and in the Wong sequence at a finite point.
     """
     p = len(a1)
     if not p:
         return []
     blocks = _chains(a1, a2, None, [], p)
-    hl = [h for *_, heads in blocks for h in heads]
+    hl = [h for kind, *_, heads in blocks if kind == "L" for h in heads]
     n_lt = sum(kind == "L" for kind, *_ in blocks) - (p - q)
     infinite = sum(size for kind, size, *_ in blocks if kind == "M")
     zs = [[{j: 1} for j in range(p)]]
@@ -992,10 +963,10 @@ def _lt_chains(a1, a2, zs, y):
     On a block LT_e with chain A1 u_(j-1) = A2 u_j, Z_k meets it in
     u_(k+1) .. u_e and y in u_1 .. u_(e-1); so an end u_e of a block of
     size e lies in Z_(e-1) but not in Z_e + y.  The chains are read
-    top-down: at each level k one _solve takes every live chain down to a
-    u_(j-1) in Z_k with A1 u_(j-1) = A2 u_j, which exists because A2
-    Z_(k+1) lies in A1 Z_k.  Solving over all of H could pick up the bottom
-    of an M(1, r, infinity) block, whose image under A2 is outside A1 H.
+    top-down: at each level k one ratlin._solve takes every live chain
+    down to a u_(j-1) in Z_k with A1 u_(j-1) = A2 u_j, which exists because
+    A2 Z_(k+1) lies in A1 Z_k.  A solve over all of H could pick up the
+    bottom of an M(1, r, infinity) block, whose A2-image is not in A1 H.
     """
     span = SpanRREF()
     for v in y + zs[-1]:
@@ -1015,9 +986,9 @@ def _regular_chains(a1, a2, hl, z, infinite):
     """The M blocks at the finite points eta, read off the Wong sequence at
     eta (_chains).
 
-    hl spans the head of the L blocks and of the blocks at infinity, and z
-    the head of the L blocks and of the regular part R at finite points;
-    the blocks at infinity have `infinite` head dimensions, which the
+    hl spans the head of the L blocks, and z the head of the L blocks and
+    of the regular part R at finite points; the blocks at infinity, which
+    lie in neither, have `infinite` head dimensions, which the
     Unclassified error counts in the regular part.  On R, modulo the L
     head, A1 is invertible, and Phi = A1^-1 A2 is an n x n matrix whose
     eigenvalues are the points eta.  Phi only finds the points: tr(Phi)/n
@@ -1067,8 +1038,9 @@ def _regular_chains(a1, a2, hl, z, infinite):
 
 def _chains(a1, a2, eta, hl, size):
     """The blocks read off the Wong sequence at the point eta (None at
-    infinity), at which the regular part has at most size dimensions
-    outside the span of hl.
+    infinity), at which the regular part has at most size dimensions; hl
+    spans the head of the L blocks at a finite point, and is empty at
+    infinity, where those blocks are read.
 
     With E = A2 - eta A1 and F = A1 (E = A1 and F = A2 at infinity), a chain
     of M(n, r, eta) is E a_1 = 0, E a_i = F a_(i-1).  At infinity an L
@@ -1077,12 +1049,12 @@ def _chains(a1, a2, eta, hl, size):
     X_k) meets each of these blocks in the first k vectors of its chain,
     and ends in them and in the L head.  So the chains are read top-down:
     the tops at level k are the vectors of X_k independent of hl, of
-    X_(k-1) and of the longer chains at that level, and one _solve takes
-    every live chain down a level, by an a_(k-1) in X_(k-1) with F a_(k-1)
-    = E a_k, which the sequence guarantees.  At infinity the tops in ker A2
-    are taken first, and head L blocks of size len - 1; every other top
-    heads an M block.  a_1 lies in ker E, so every chain is exact, L-head
-    parts and all.
+    X_(k-1) and of the longer chains at that level, and one ratlin._solve
+    takes every live chain down a level, by an a_(k-1) in X_(k-1) with
+    F a_(k-1) = E a_k, which the sequence guarantees.  At infinity the tops
+    in ker A2 are taken first, and head L blocks of size len - 1; every
+    other top heads an M block.  a_1 lies in ker E, so every chain is
+    exact, L-head parts and all.
     """
     if eta is None:
         e_cols, f_cols = a1, a2

@@ -404,3 +404,33 @@ def test_parse_error_exit_code(capsys):
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+NINES = "9" * 5000  # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("argv, file_text", [
+    (["green-mul", f"V({NINES})"], None),
+    (["green-mul", f"O(+{NINES},0)"], None),
+    (["green-mul", f"M({NINES},0,1)"], None),
+    (["green-mul", f"{NINES}*V(0)"], None),
+    (["ideal", "contains", "FILE", "V(0)"],
+     '{"support": [{"eta": "0", "bound": "%s"}]}' % NINES),
+    (["ideal", "contains", "FILE", "V(0)"], '{"default": %s}' % NINES),
+    (["identify", "FILE"],
+     '{"algebra": "K2", "dim": %s, "actions": {}}' % NINES),
+], ids=["V", "O", "M", "scale", "spec-bound", "spec-json", "module-json"])
+def test_an_integer_with_too_many_digits_is_a_usage_error(
+        tmp_path, capsys, argv, file_text):
+    """int() refuses a decimal string of more than 4300 digits with a
+    ValueError; each place that parses one turns it into a usage error.
+    The files are written as raw text, since json.dumps hits the same
+    limit."""
+    if file_text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(file_text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err) < 500  # the digits are counted, not echoed

@@ -470,6 +470,22 @@ def test_solve_linear_matches_reference(system, data):
     assert ker == reference_kernel(*reference_rref(rows, ncols), ncols)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_systems(), forced_zero_systems()))
+def test_span_rref_grows_exactly_where_echelon_gains_a_pivot(system):
+    """SpanRREF.add runs _echelon's forward step: adding the k-th vector
+    grows the span exactly when _echelon of the first k vectors has more
+    pivots than _echelon of the first k - 1."""
+    rows, _ = system
+    span, rank = SpanRREF(), 0
+    for k, vec in enumerate(rows, 1):
+        grew = span.add(vec)
+        prefix = len(_echelon(integer_rows(rows[:k]), reduced=False)[0])
+        assert grew == (prefix > rank)
+        rank = prefix
+        assert span.rank == rank
+
+
 # -- the integer store against a dense Fraction reference -------------
 
 
